@@ -31,7 +31,6 @@ from .metrics import (
     acceptance_summary,
     retention_curve,
     returning_user_cohort,
-    strong_acceptance_rate,
     temporal_profile,
 )
 from .report import AnalysisReport, render_report, run_pipeline
@@ -70,6 +69,5 @@ __all__ = [
     "run_pipeline",
     "short_name",
     "similarity_ratio",
-    "strong_acceptance_rate",
     "temporal_profile",
 ]

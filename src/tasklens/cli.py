@@ -1,7 +1,7 @@
 """Command-line interface.
 
     tasklens ingest  --events LOG [LOG ...]
-    tasklens analyze --events LOG [LOG ...] [--config FILE] [--workers N]
+    tasklens analyze --events LOG [LOG ...] [--config FILE]
     tasklens report  --events LOG [LOG ...] --format {json,csv,table} [--out DIR]
 
 Exit codes: 0 success, 1 usage error, 2 data error.
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore events before this local date")
         p.add_argument("--window-end", type=_parse_date, metavar="DATE",
                        help="ignore events after this local date")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="parallel per-user analysis workers (default 1)")
 
     common(sub.add_parser("ingest", help="validate the log and show dedup stats"))
     common(sub.add_parser("analyze", help="run the full pipeline, print a text report"))
@@ -59,12 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ingest(args) -> int:
+def _checked_config(args):
+    """The run's config, once every event log is known to exist."""
     config = load_config(args.config)
     missing = [p for p in args.events if not Path(p).exists()]
     if missing:
-        print(f"error: no such file: {missing[0]}", file=sys.stderr)
-        return DATA_ERROR
+        raise ZeroEvents(f"no such file: {missing[0]}")
+    return config
+
+
+def _cmd_ingest(args) -> int:
+    config = _checked_config(args)
     ingest = read_events(args.events)
     deduped = deduplicate(ingest.events, config.dedup_window_seconds)
     timelines = build_timelines(deduped)
@@ -80,16 +83,11 @@ def _cmd_ingest(args) -> int:
 
 
 def _run(args):
-    config = load_config(args.config)
-    missing = [p for p in args.events if not Path(p).exists()]
-    if missing:
-        raise ZeroEvents(f"no such file: {missing[0]}")
     return run_pipeline(
         args.events,
-        config,
+        _checked_config(args),
         window_start=args.window_start,
         window_end=args.window_end,
-        workers=max(1, args.workers),
     )
 
 

@@ -6,7 +6,7 @@ means "all defaults", so a bare `tasklens analyze` needs no setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -41,14 +41,7 @@ class Config:
             raise BadConfig("retention_horizon", "must be at least 1")
 
 
-_KNOWN_KEYS = {
-    "directive_keys",
-    "similar_modules",
-    "dedup_window_seconds",
-    "minor_major_threshold",
-    "rename_match_floor",
-    "retention_horizon",
-}
+_KNOWN_KEYS = frozenset(f.name for f in fields(Config))
 
 
 def load_config(path: str | Path | None) -> Config:

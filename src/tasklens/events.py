@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 DEDUP_WINDOW_SECONDS = 10.0
 
@@ -119,9 +119,6 @@ class RawEvent:
     kind: EventKind
     timestamp: datetime
     payload: Payload
-
-    def local_date(self) -> date:
-        return local_date(self)
 
 
 def local_date(e: RawEvent) -> date:
@@ -263,19 +260,6 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
     return IngestResult(events=events, malformed_lines=malformed)
 
 
-def read_event_lines(lines: Iterable[str]) -> IngestResult:
-    events: list[RawEvent] = []
-    malformed = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            events.append(parse_event_line(line))
-        except EventParseError:
-            malformed += 1
-    return IngestResult(events=events, malformed_lines=malformed)
-
-
 def _sort_key(event: RawEvent) -> tuple[str, float, str]:
     # epoch-float instants order identically to aware datetimes and compare faster
     return (event.user_id, event.timestamp.timestamp(), event.event_id)
@@ -320,10 +304,6 @@ class UserTimeline:
         self.first_day = min(self.active_days)
 
 
-def active_days(timeline: UserTimeline) -> set[date]:
-    return set(timeline.active_days)
-
-
 def build_timelines(events: Iterable[RawEvent]) -> list[UserTimeline]:
     """Partition deduplicated events into one timeline per user, user_id order."""
     per_user: dict[str, list[RawEvent]] = {}
@@ -334,7 +314,3 @@ def build_timelines(events: Iterable[RawEvent]) -> list[UserTimeline]:
         user_events = sorted(per_user[user_id], key=lambda e: (e.timestamp, e.event_id))
         timelines.append(UserTimeline(user_id=user_id, events=user_events))
     return timelines
-
-
-def iter_kind(events: Iterable[RawEvent], kind: EventKind) -> Iterator[RawEvent]:
-    return (e for e in events if e.kind is kind)

@@ -7,7 +7,7 @@ comments belong to neither distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .events import EventKind, RawEvent
@@ -33,34 +33,12 @@ class FeedbackSummary:
     satisfied_share: float
     neutral_share: float
     dissatisfied_share: float
-    positive_labels: LabelDistribution = field(
-        default_factory=lambda: LabelDistribution({}, {}, 0, 0)
-    )
-    negative_labels: LabelDistribution = field(
-        default_factory=lambda: LabelDistribution({}, {}, 0, 0)
-    )
+    positive_labels: LabelDistribution
+    negative_labels: LabelDistribution
 
 
 def _feedback_events(events: Iterable[RawEvent]) -> list[RawEvent]:
     return [e for e in events if e.kind is EventKind.FEEDBACK]
-
-
-def summarize_stars(events: Iterable[RawEvent]) -> FeedbackSummary:
-    """Histogram over 1..5 stars plus the satisfied/neutral/dissatisfied split."""
-    feedback = _feedback_events(events)
-    histogram = {stars: 0 for stars in range(1, 6)}
-    for event in feedback:
-        histogram[event.payload.stars] += 1
-    total = len(feedback)
-    if total == 0:
-        return FeedbackSummary(0, histogram, 0.0, 0.0, 0.0)
-    return FeedbackSummary(
-        total=total,
-        star_histogram=histogram,
-        satisfied_share=(histogram[4] + histogram[5]) / total,
-        neutral_share=histogram[3] / total,
-        dissatisfied_share=(histogram[1] + histogram[2]) / total,
-    )
 
 
 def label_distribution(events: Iterable[RawEvent], polarity: str) -> LabelDistribution:
@@ -95,15 +73,20 @@ def label_distribution(events: Iterable[RawEvent], polarity: str) -> LabelDistri
 
 
 def summarize_feedback(events: Iterable[RawEvent]) -> FeedbackSummary:
-    """Full feedback summary: stars plus both polarity label distributions."""
+    """Histogram over 1..5 stars, the satisfied/neutral/dissatisfied split and
+    both polarity label distributions."""
     feedback = _feedback_events(events)
-    stars = summarize_stars(feedback)
+    histogram = {stars: 0 for stars in range(1, 6)}
+    for event in feedback:
+        histogram[event.payload.stars] += 1
+    total = len(feedback)
+    divisor = total or 1  # no feedback: every count is 0, so every share is 0.0
     return FeedbackSummary(
-        total=stars.total,
-        star_histogram=stars.star_histogram,
-        satisfied_share=stars.satisfied_share,
-        neutral_share=stars.neutral_share,
-        dissatisfied_share=stars.dissatisfied_share,
+        total=total,
+        star_histogram=histogram,
+        satisfied_share=(histogram[4] + histogram[5]) / divisor,
+        neutral_share=histogram[3] / divisor,
+        dissatisfied_share=(histogram[1] + histogram[2]) / divisor,
         positive_labels=label_distribution(feedback, POSITIVE),
         negative_labels=label_distribution(feedback, NEGATIVE),
     )

@@ -110,11 +110,3 @@ def similarity_ratio(a: Sequence[Hashable], b: Sequence[Hashable]) -> Similarity
 def edit_fraction(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     """Fraction of the pair that does not match: 1 - similarity."""
     return 1.0 - similarity_ratio(a, b).value
-
-
-def split_lines(text: str) -> list[str]:
-    """Text to comparison elements: whole lines, trailing whitespace trimmed.
-
-    Leading indentation is preserved; it is semantic in YAML.
-    """
-    return [line.rstrip() for line in text.splitlines()]

@@ -113,19 +113,6 @@ def _strong_rate(total, accepted, deleted, major, module_changed_minor) -> float
     return numerator / total
 
 
-def strong_acceptance_rate(summary: AcceptanceSummary) -> float:
-    """Accepted, kept, edited by less than the threshold, module intact."""
-    if summary.total_suggestions == 0:
-        return 0.0
-    return _strong_rate(
-        summary.total_suggestions,
-        summary.initially_accepted,
-        summary.deleted_after_accept,
-        summary.major_edits,
-        summary.module_changed_minor,
-    )
-
-
 def returning_user_cohort(timelines: Iterable[UserTimeline]) -> set[str]:
     """Users active on at least two distinct local calendar days."""
     return {t.user_id for t in timelines if len(t.active_days) >= 2}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -27,13 +26,7 @@ from .edits import (
     TaskCache,
     analyze_timeline,
 )
-from .events import (
-    RawEvent,
-    build_timelines,
-    deduplicate,
-    local_date,
-    read_events,
-)
+from .events import build_timelines, deduplicate, local_date, read_events
 from .feedback import FeedbackSummary, summarize_feedback
 from .metrics import (
     AcceptanceSummary,
@@ -88,34 +81,15 @@ def run_pipeline(
     config: Config | None = None,
     window_start: date | None = None,
     window_end: date | None = None,
-    workers: int = 1,
 ) -> AnalysisReport:
     """Full analysis over one or more JSONL logs.
 
-    Identical inputs and config produce byte-identical rendered reports,
-    whatever the worker count; per-user work is merged in user-id order.
+    Identical inputs and config produce byte-identical rendered reports;
+    per-user work runs in user-id order.
     """
     config = config or Config()
     ingest = read_events(event_paths)
-    return analyze_events(
-        ingest.events,
-        config,
-        malformed_lines=ingest.malformed_lines,
-        window_start=window_start,
-        window_end=window_end,
-        workers=workers,
-    )
-
-
-def analyze_events(
-    events: list[RawEvent],
-    config: Config | None = None,
-    malformed_lines: int = 0,
-    window_start: date | None = None,
-    window_end: date | None = None,
-    workers: int = 1,
-) -> AnalysisReport:
-    config = config or Config()
+    events = ingest.events
     if window_start or window_end:
         events = [
             e
@@ -135,20 +109,14 @@ def analyze_events(
     returning = returning_user_cohort(timelines)
 
     cache = TaskCache(config.directive_keys)
-    cohort_timelines = [t for t in timelines if t.user_id in returning]
-    if workers > 1 and len(cohort_timelines) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            analyses = list(
-                pool.map(lambda t: analyze_timeline(t, config, cache), cohort_timelines)
-            )
-    else:
-        analyses = [analyze_timeline(t, config, cache) for t in cohort_timelines]
-
     outcomes: list[SuggestionOutcome] = []
     orphan_actions = 0
     unparseable_suggestions = 0
     unparseable_documents = 0
-    for analysis in analyses:  # already in user_id order
+    for timeline in timelines:  # user_id order
+        if timeline.user_id not in returning:
+            continue
+        analysis = analyze_timeline(timeline, config, cache)
         outcomes.extend(analysis.outcomes)
         orphan_actions += analysis.orphan_actions
         unparseable_suggestions += analysis.unparseable_suggestions
@@ -169,7 +137,7 @@ def analyze_events(
         temporal_dedup=temporal_profile(deduped, window),
         feedback=summarize_feedback(deduped),
         data_quality=DataQuality(
-            malformed_lines=malformed_lines,
+            malformed_lines=ingest.malformed_lines,
             duplicates_removed=duplicates_removed,
             orphan_actions=orphan_actions,
             unresolved_outcomes=summary.unresolved,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable
 
 import yaml
 
@@ -80,10 +80,6 @@ class ModuleName:
     def __str__(self) -> str:
         return ".".join(self.segments)
 
-    @property
-    def is_fqcn(self) -> bool:
-        return len(self.segments) == 3
-
 
 def parse_module_name(key: str) -> ModuleName:
     """Split a module key on dots; only short (1) and FQCN (3) forms are valid."""
@@ -135,23 +131,6 @@ class AnsibleTask:
 
     def with_name(self, name: str) -> "AnsibleTask":
         return replace(self, name=name)
-
-
-class TaskParts(NamedTuple):
-    module: ModuleName | None
-    option_keys: list[str]
-    option_values: list[Any]
-    directive_keys: list[str]
-
-
-def task_parts(task: AnsibleTask) -> TaskParts:
-    """Flattened view for edit subcategorization; values are canonicalized."""
-    return TaskParts(
-        module=task.module,
-        option_keys=list(task.options),
-        option_values=[canonical(v) for v in task.options.values()],
-        directive_keys=list(task.directives),
-    )
 
 
 def canonical(value: Any) -> Any:
@@ -322,26 +301,3 @@ def _task_from_node(node, loader, text_lines: list[str], directives: frozenset[s
         raw_lines=tuple(raw),
         name_span=name_span,
     )
-
-
-def serialize_task(task: AnsibleTask) -> str:
-    return yaml.safe_dump(_task_to_obj(task), sort_keys=False, default_flow_style=False)
-
-
-def serialize_tasks(tasks: list[AnsibleTask]) -> str:
-    return yaml.safe_dump(
-        [_task_to_obj(t) for t in tasks], sort_keys=False, default_flow_style=False
-    )
-
-
-def _task_to_obj(task: AnsibleTask) -> dict[str, Any]:
-    obj: dict[str, Any] = {}
-    if task.name is not None:
-        obj["name"] = task.name
-    if task.module is not None:
-        if set(task.options) == {RAW_PARAMS_KEY}:
-            obj[str(task.module)] = task.options[RAW_PARAMS_KEY]
-        else:
-            obj[str(task.module)] = dict(task.options) or None
-    obj.update(task.directives)
-    return obj

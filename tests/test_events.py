@@ -13,13 +13,13 @@ from tasklens.events import (
     UnknownKind,
     UserAction,
     UserTimeline,
-    active_days,
     build_timelines,
     deduplicate,
     local_date,
     parse_event_line,
-    read_event_lines,
+    read_events,
 )
+from tasklens.synth import write_log
 
 
 def completion_line(event_id="e1", user_id="u1", ts="2023-06-01T09:00:00+02:00", **extra):
@@ -276,14 +276,13 @@ class TestTimelines:
         )
         (timeline,) = build_timelines(events)
         assert timeline.active_days == {date(2023, 6, 1), date(2023, 6, 2)}
-        assert active_days(timeline) == timeline.active_days
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(ValueError):
             UserTimeline(user_id="u", events=[])
 
 
-def test_read_event_lines_skips_and_counts_malformed():
+def test_read_events_skips_and_counts_malformed(tmp_path):
     lines = [
         completion_line(),
         "{broken",
@@ -291,6 +290,6 @@ def test_read_event_lines_skips_and_counts_malformed():
         completion_line(event_id="e2"),
         '{"event_id":"x","user_id":"u","ts":"2023-06-01T00:00:00+00:00","type":"nope"}',
     ]
-    result = read_event_lines(lines)
+    result = read_events([write_log(tmp_path / "log.jsonl", lines)])
     assert len(result.events) == 2
     assert result.malformed_lines == 2

@@ -9,7 +9,6 @@ from tasklens.feedback import (
     POSITIVE,
     label_distribution,
     summarize_feedback,
-    summarize_stars,
 )
 
 
@@ -41,19 +40,19 @@ def events_from(star_counts=None, labeled=None):
 class TestStarSummary:
     def test_published_split(self):
         events = events_from({5: 285, 4: 285, 3: 158, 2: 136, 1: 136})
-        summary = summarize_stars(events)
+        summary = summarize_feedback(events)
         assert 100 * summary.satisfied_share == pytest.approx(57.0)
         assert 100 * summary.neutral_share == pytest.approx(15.8)
         assert 100 * summary.dissatisfied_share == pytest.approx(27.2)
         assert sum(summary.star_histogram.values()) == summary.total == 1000
 
     def test_all_five_star(self):
-        summary = summarize_stars(events_from({5: 7}))
+        summary = summarize_feedback(events_from({5: 7}))
         assert summary.satisfied_share == 1.0
         assert summary.dissatisfied_share == 0.0
 
     def test_empty(self):
-        summary = summarize_stars([])
+        summary = summarize_feedback([])
         assert summary.total == 0
         assert summary.satisfied_share == 0.0
         assert summary.star_histogram == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
@@ -61,14 +60,14 @@ class TestStarSummary:
     def test_shares_sum_to_one(self):
         rng = random.Random(3)
         events = events_from({s: rng.randrange(1, 50) for s in range(1, 6)})
-        summary = summarize_stars(events)
+        summary = summarize_feedback(events)
         total = summary.satisfied_share + summary.neutral_share + summary.dissatisfied_share
         assert total == pytest.approx(1.0)
 
     def test_reorder_invariance(self):
         events = events_from({1: 3, 3: 2, 5: 4})
-        histogram = summarize_stars(events).star_histogram
-        assert summarize_stars(list(reversed(events))).star_histogram == histogram
+        histogram = summarize_feedback(events).star_histogram
+        assert summarize_feedback(list(reversed(events))).star_histogram == histogram
 
 
 class TestLabelDistribution:

@@ -8,7 +8,6 @@ from tasklens.gestalt import (
     find_longest_match,
     matching_blocks,
     similarity_ratio,
-    split_lines,
 )
 
 from gestalt_oracle import brute_blocks, brute_ratio
@@ -128,7 +127,3 @@ class TestEditFraction:
     def test_complement_of_ratio(self):
         a, b = list("abxcd"), list("abcd")
         assert edit_fraction(a, b) == pytest.approx(1 - similarity_ratio(a, b).value)
-
-
-def test_split_lines_trims_trailing_but_keeps_indent():
-    assert split_lines("a:  \n  b: 1\t\n") == ["a:", "  b: 1"]

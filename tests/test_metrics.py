@@ -6,13 +6,12 @@ import pytest
 from tasklens.edits import Category, SuggestionOutcome
 from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.metrics import (
-    AcceptanceSummary,
     EmptyWindow,
     NegativeNumerator,
+    _strong_rate,
     acceptance_summary,
     retention_curve,
     returning_user_cohort,
-    strong_acceptance_rate,
     temporal_profile,
 )
 
@@ -95,9 +94,9 @@ class TestStrongAcceptanceRate:
             mixed_outcomes(fully=24811, minor=5672, minor_mc=306, major=2713,
                            deleted=7436, rejected=21161)
         )
-        rate = 100 * strong_acceptance_rate(summary)
+        rate = 100 * summary.strong_rate
         assert 49.08 <= rate <= 49.10
-        assert summary.strong_rate == strong_acceptance_rate(summary)
+        assert summary.strong_rate == _strong_rate(62099, 40938, 7436, 2713, 306)
 
     def test_no_edits_no_deletions_equals_initial(self):
         summary = acceptance_summary(mixed_outcomes(fully=10, rejected=5))
@@ -133,14 +132,8 @@ class TestStrongAcceptanceRate:
         assert tripled.strong_rate == single.strong_rate
 
     def test_negative_numerator_detected(self):
-        bad = AcceptanceSummary(
-            total_suggestions=10, initially_accepted=2, fully_accepted=0,
-            minor_edits=0, major_edits=5, deleted_after_accept=0,
-            module_changed_minor=0, unresolved=0, avg_lines_per_suggestion=0.0,
-            avg_tokens_per_suggestion=0.0, initial_rate=0.2, strong_rate=0.0,
-        )
         with pytest.raises(NegativeNumerator):
-            strong_acceptance_rate(bad)
+            _strong_rate(total=10, accepted=2, deleted=0, major=5, module_changed_minor=0)
 
 
 def timelines_from_days(user_days):

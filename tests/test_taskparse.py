@@ -10,10 +10,7 @@ from tasklens.taskparse import (
     canonical_options,
     parse_module_name,
     parse_tasks,
-    serialize_task,
-    serialize_tasks,
     short_name,
-    task_parts,
 )
 
 FIG1_STYLE = """\
@@ -167,19 +164,6 @@ class TestModuleName:
 
 
 class TestTaskParts:
-    def test_flat_options(self):
-        (task,) = parse_tasks("- name: t\n  debug:\n    msg: hi\n")
-        parts = task_parts(task)
-        assert parts.option_keys == ["msg"]
-        assert parts.option_values == ["hi"]
-        assert parts.directive_keys == []
-
-    def test_block_task_parts(self):
-        (task,) = parse_tasks("- name: t\n  block:\n    - debug:\n        msg: hi\n")
-        parts = task_parts(task)
-        assert parts.module is None
-        assert "block" in parts.directive_keys
-
     def test_nested_values_canonicalized(self):
         a = parse_tasks("- name: t\n  m:\n    opt: {x: 1, y: [a, b]}\n")[0]
         b = parse_tasks("- name: t\n  m:\n    opt: {y: [a, b], x: 1}\n")[0]
@@ -193,36 +177,6 @@ class TestTaskParts:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            FIG1_STYLE,
-            "- name: run it\n  command: ls -la\n  register: out\n",
-            "- name: wrapper\n  block:\n    - debug:\n        msg: hi\n  tags: [a, b]\n",
-            "ansible.builtin.debug:\n  msg: hi\n",
-            "- name: ping\n  ansible.builtin.ping:\n",
-        ],
-    )
-    def test_parse_serialize_parse_fixed_point(self, text):
-        def model(task):
-            return (
-                task.name,
-                task.module,
-                canonical_options(task),
-                canonical(task.directives),
-            )
-
-        once = parse_tasks(text)
-        again = parse_tasks(serialize_tasks(once))
-        assert [model(t) for t in once] == [model(t) for t in again]
-
-    def test_serialize_single_task(self):
-        (task,) = parse_tasks(FIG1_STYLE)
-        text = serialize_task(task)
-        (reparsed,) = parse_tasks(text)
-        assert reparsed.name == task.name
-        assert reparsed.module == task.module
-
     def test_every_key_in_exactly_one_bucket(self):
         (task,) = parse_tasks(FIG1_STYLE + "  register: out\n  loop: [1, 2]\n")
         # option "name: nginx" under the module and the task name coexist;
