@@ -366,7 +366,7 @@ def analyze_timeline(
     config: Config | None = None,
     cache: TaskCache | None = None,
 ) -> TimelineAnalysis:
-    """pair + classify for one user; the per-worker unit of parallel fan-out."""
+    """pair + classify for one user."""
     config = config or Config()
     cache = cache or TaskCache(config.directive_keys)
     paired = pair_outcomes(timeline, config, cache)

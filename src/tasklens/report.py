@@ -26,7 +26,7 @@ from .edits import (
     TaskCache,
     analyze_timeline,
 )
-from .events import build_timelines, deduplicate, local_date, read_events
+from .events import build_timelines, collector_paused, deduplicate, local_date, read_events
 from .feedback import FeedbackSummary, summarize_feedback
 from .metrics import (
     AcceptanceSummary,
@@ -76,6 +76,7 @@ class AnalysisReport:
     data_quality: DataQuality
 
 
+@collector_paused()
 def run_pipeline(
     event_paths: Iterable[str | Path],
     config: Config | None = None,
@@ -85,7 +86,8 @@ def run_pipeline(
     """Full analysis over one or more JSONL logs.
 
     Identical inputs and config produce byte-identical rendered reports;
-    per-user work runs in user-id order.
+    per-user work runs in user-id order.  The cyclic garbage collector is
+    paused for the call (see ``collector_paused``).
     """
     config = config or Config()
     ingest = read_events(event_paths)

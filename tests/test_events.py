@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from datetime import date, timedelta
@@ -14,6 +15,7 @@ from tasklens.events import (
     UserAction,
     UserTimeline,
     build_timelines,
+    collector_paused,
     deduplicate,
     local_date,
     parse_event_line,
@@ -130,6 +132,43 @@ class TestParseEventLine:
         with pytest.raises(BadFieldValue):
             parse_event_line(completion_line(event_id=""))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            completion_line(),
+            completion_line() + "\n",
+            completion_line() + "\r\n",
+            " \t" + completion_line() + " \n",
+            "\n" + completion_line(),
+            "\ufeff" + completion_line(),
+            completion_line() + "\u00a0",
+            "\u00a0" + completion_line(),
+            completion_line() + "x",
+            completion_line() + completion_line(),
+            completion_line()[:-1],
+            "",
+            "   ",
+            "[1, 2]",
+            "nan",
+        ],
+        ids=[
+            "plain", "lf", "crlf", "ascii-space-around", "leading-lf", "bom",
+            "trailing-nbsp", "leading-nbsp", "trailing-garbage", "two-objects",
+            "truncated", "empty", "blank", "array", "bare-nan",
+        ],
+    )
+    def test_json_acceptance_matches_json_loads(self, line):
+        try:
+            expected_ok = isinstance(json.loads(line), dict)
+        except json.JSONDecodeError:
+            expected_ok = False
+        try:
+            parse_event_line(line)
+            ok = True
+        except MalformedJson:
+            ok = False
+        assert ok == expected_ok
+
 
 class TestLocalDate:
     def test_negative_offset_keeps_wall_clock_date(self):
@@ -212,6 +251,17 @@ class TestDeduplicate:
         kept = deduplicate(events)
         assert [e.event_id for e in kept] == ["e0", "e1", "e2"]
 
+    def test_exact_ties_keep_input_order(self):
+        events = make_events(
+            [
+                ("e1", "u1", "2023-06-01T10:00:00+00:00", "b"),
+                ("e0", "u2", "2023-06-01T10:00:00+00:00", "x"),
+                ("e1", "u1", "2023-06-01T10:00:00+00:00", "a"),
+            ]
+        )
+        kept = deduplicate(events)
+        assert [e.payload.document_text for e in kept] == ["b", "a", "x"]
+
     def _random_soup(self, seed):
         rng = random.Random(seed)
         rows = []
@@ -293,3 +343,26 @@ def test_read_events_skips_and_counts_malformed(tmp_path):
     result = read_events([write_log(tmp_path / "log.jsonl", lines)])
     assert len(result.events) == 2
     assert result.malformed_lines == 2
+
+
+class TestCollectorPaused:
+    def test_pauses_and_restores(self):
+        assert gc.isenabled()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with collector_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        try:
+            with collector_paused():
+                pass
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
