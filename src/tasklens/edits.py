@@ -86,18 +86,24 @@ class PairingResult:
 
 
 class TaskCache:
-    """Memoizes parse_tasks per exact text; telemetry repeats texts heavily."""
+    """Memoizes parse_tasks per exact text; telemetry repeats texts heavily.
+
+    It also owns the per-item memo that parse_tasks fills on each miss, so a
+    snapshot that repeats an earlier snapshot's tasks parses only its new ones.
+    Item entries hold only for this cache's directive keys.
+    """
 
     def __init__(self, directive_keys: tuple[str, ...]):
         self._directive_keys = directive_keys
         self._hits: dict[str, tuple[AnsibleTask, ...] | TaskParseError] = {}
+        self._items: dict[str, AnsibleTask | None] = {}
         self._shown: dict[tuple[str, str | None], AnsibleTask | TaskParseError] = {}
 
     def parse(self, text: str) -> tuple[AnsibleTask, ...]:
         cached = self._hits.get(text)
         if cached is None:
             try:
-                cached = tuple(parse_tasks(text, self._directive_keys))
+                cached = tuple(parse_tasks(text, self._directive_keys, self._items))
             except TaskParseError as exc:
                 cached = exc
             self._hits[text] = cached

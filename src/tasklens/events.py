@@ -200,6 +200,8 @@ def _decode_json(line: str):
         raise MalformedJson("invalid JSON: Expecting value") from None
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise MalformedJson("invalid JSON: nested too deeply") from None
     if end != len(line) and _JSON_WHITESPACE.match(line, end).end() != len(line):
         raise MalformedJson("invalid JSON: Extra data")
     return obj
@@ -287,15 +289,25 @@ class IngestResult:
     malformed_lines: int
 
 
+# Invalid UTF-8 bytes decode to these lone surrogates under "surrogateescape".
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
 @collector_paused()
 def read_events(paths: Iterable[str | Path]) -> IngestResult:
-    """Read JSONL logs; malformed lines are skipped and counted, never fatal."""
+    """Read JSONL logs; malformed lines are skipped and counted, never fatal.
+
+    A line that is not valid UTF-8 counts as malformed.
+    """
     events: list[RawEvent] = []
     malformed = 0
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 if not line or line.isspace():
+                    continue
+                if not line.isascii() and _UNDECODABLE.search(line):
+                    malformed += 1
                     continue
                 try:
                     events.append(parse_event_line(line))

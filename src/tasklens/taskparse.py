@@ -7,6 +7,13 @@ keyword list is configurable since no module catalog is shipped.
 
 Each parsed task keeps its source lines, dedented to column zero with the list
 dash blanked, so tasks cut from different nesting depths compare line-by-line.
+
+Successive snapshots of one playbook repeat almost all of their tasks, so
+``parse_tasks`` can take a per-item memo: it cuts the task list into its
+items, parses each distinct item once, and checks the rest of the document
+with a skeleton in which every item is an empty placeholder.  Any text the
+cut cannot vouch for goes through the whole-document parse, which stays the
+only source of errors.
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ class NotATaskShape(TaskParseError):
 
 class BadModuleKey(TaskParseError):
     pass
+
+
+class BadYamlValue(TaskParseError):
+    """Valid YAML whose values cannot be built (a recursive alias, an unsafe tag)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,24 +167,30 @@ def canonical_options(task: AnsibleTask) -> dict[str, Any]:
     return cached
 
 
-def parse_tasks(text: str, directive_keys: Iterable[str] | None = None) -> list[AnsibleTask]:
+def parse_tasks(
+    text: str,
+    directive_keys: Iterable[str] | None = None,
+    memo: dict[str, AnsibleTask | None] | None = None,
+) -> list[AnsibleTask]:
     """Parse every task in a task list, a play's ``tasks:`` section, or a bare fragment.
 
-    Raises YamlSyntax for unparseable text and NotATaskShape for valid YAML
-    that is not task-like.
+    Raises YamlSyntax for unparseable text, BadYamlValue for values that
+    cannot be built, and NotATaskShape for valid YAML that is not task-like.
+
+    ``memo`` maps the exact text of a task-list item to its parsed task (None
+    when the item does not parse alone).  Pass the same dict only together
+    with the same ``directive_keys``; the result does not depend on it.
     """
     directives = frozenset(directive_keys) if directive_keys is not None else frozenset(
         DEFAULT_DIRECTIVE_KEYS
     )
+    if memo is not None:
+        tasks = _parse_by_item(text, directives, memo)
+        if tasks is not None:
+            return tasks
     loader = _Loader(text)
     try:
-        try:
-            root = loader.get_single_node()
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = mark.line + 1 if mark is not None else None
-            raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
-
+        root = _compose(loader)
         if root is None or (
             isinstance(root, yaml.ScalarNode) and root.tag == "tag:yaml.org,2002:null"
         ):
@@ -183,6 +200,138 @@ def parse_tasks(text: str, directive_keys: Iterable[str] | None = None) -> list[
         return [_task_from_node(node, loader, text_lines, directives) for node in task_nodes]
     finally:
         loader.dispose()
+
+
+def _compose(loader):
+    try:
+        return loader.get_single_node()
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else None
+        raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
+
+
+def _construct(loader, node) -> Any:
+    try:
+        return loader.construct_object(node, deep=True)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # SafeConstructor raises ConstructorError for recursive aliases and
+        # unknown tags, ValueError for bad !!int/!!float/timestamp literals,
+        # and recurses once per nesting level.
+        detail = getattr(exc, "problem", None) or exc
+        raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
+
+
+# Texts the item cut does not handle: an anchor may be defined in one item and
+# aliased in another, and a tab, a BOM or a line break other than "\n" makes
+# PyYAML's marks disagree with the "\n" lines cut here.  A %TAG directive
+# (a line starting with "%") changes how the tags inside every item resolve.
+_CUT_UNSAFE = re.compile("[&\t\r\ufeff\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# Line patterns start at the "\n" before the line: a literal first character
+# lets the regex engine skip ahead, where "^" would be tried at every offset.
+_TASKS_KEY_LINE = re.compile(r"\n *tasks:(?: +#[^\n]*| *)(?=\n|\Z)")
+_CONTENT_LINE = re.compile(r"\n *[^ \n#]")  # neither blank nor a comment
+
+
+def _is_item_dash(text: str, index: int) -> bool:
+    return text[index] == "-" and text[index + 1:index + 2] in (" ", "\n", "")
+
+
+def _cut_task_list(text: str) -> tuple[int, list[str], str, int] | None:
+    """Cut the first task list into its items: (column, items, skeleton, first line).
+
+    None for a text the cut does not handle.  The list is the one under the
+    first ``tasks:`` line, or a top-level list.  It ends at the first line,
+    neither blank nor a comment, indented at or below its column that does
+    not start an item.  Items keep their original columns, so each parses
+    alone with the marks it has in the document.  The skeleton is the text
+    with each item replaced by a ``- {}`` line; its placeholders start at
+    ``first line`` + i.
+    """
+    # An offset in ``lined`` is one past the same character's offset in
+    # ``text``, so a match of "\n" at offset p starts a line at text offset p.
+    lined = "\n" + text
+    if _CUT_UNSAFE.search(text) or "\n%" in lined:
+        return None
+    key = _TASKS_KEY_LINE.search(lined)
+    first = _CONTENT_LINE.search(lined, key.end() if key else 0)
+    if first is None:
+        return None
+    column = first.end() - first.start() - 2
+    if (key is None and column) or not _is_item_dash(lined, first.end() - 1):
+        return None
+    starts = []
+    end = len(text)
+    for line in re.compile(r"\n {0,%d}[^ \n#]" % column).finditer(lined, first.start()):
+        if line.end() - line.start() - 2 == column and _is_item_dash(lined, line.end() - 1):
+            starts.append(line.start())
+        else:
+            end = line.start()
+            break
+    items = [text[a:b] for a, b in zip(starts, starts[1:] + [end])]
+    skeleton = text[:starts[0]] + (" " * column + "- {}\n") * len(items) + text[end:]
+    return column, items, skeleton, text.count("\n", 0, starts[0])
+
+
+def _parse_by_item(
+    text: str, directives: frozenset[str], memo: dict[str, AnsibleTask | None]
+) -> list[AnsibleTask] | None:
+    """The tasks of ``text`` from memoized items, or None when the whole document must be parsed."""
+    cut = _cut_task_list(text)
+    if cut is None:
+        return None
+    column, items, skeleton, first_line = cut
+    tasks = []
+    for item in items:
+        try:
+            task = memo[item]
+        except KeyError:
+            task = memo[item] = _parse_item(item, directives)
+        if task is None:
+            return None
+        tasks.append(task)
+    if not _skeleton_holds(skeleton, column, first_line, len(items)):
+        return None
+    return tasks
+
+
+def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
+    """One list item parsed alone, or None unless it is a single task mapping.
+
+    An item with a ``tasks`` key is refused: in a top-level list it could
+    make the whole list read as plays.
+    """
+    loader = _Loader(item)
+    try:
+        root = _compose(loader)
+        if not isinstance(root, yaml.SequenceNode) or len(root.value) != 1:
+            return None
+        node = root.value[0]
+        if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
+            return None
+        return _task_from_node(node, loader, item.splitlines(), directives)
+    except TaskParseError:
+        return None
+    finally:
+        loader.dispose()
+
+
+def _skeleton_holds(skeleton: str, column: int, first_line: int, count: int) -> bool:
+    """Whether the skeleton's task nodes are exactly its placeholders."""
+    loader = _Loader(skeleton)
+    try:
+        nodes = _collect_task_nodes(_compose(loader))
+    except TaskParseError:
+        return False
+    finally:
+        loader.dispose()
+    return len(nodes) == count and all(
+        isinstance(node, yaml.MappingNode)
+        and not node.value
+        and node.start_mark.line == first_line + i
+        and node.start_mark.column == column + 2
+        for i, node in enumerate(nodes)
+    )
 
 
 def _collect_task_nodes(root) -> list:
@@ -221,12 +370,18 @@ def _mapping_value(node: "yaml.MappingNode", key: str):
     return None
 
 
-def _node_line_span(node, n_text_lines: int) -> tuple[int, int]:
+def _node_line_span(node, text_lines: list[str]) -> tuple[int, int]:
+    """Half-open range of the lines a node occupies.
+
+    A block node's end mark is where the next token starts, e.g. the dash of
+    the next list item or the play's next key.  That line belongs to the node
+    only when the node has content on it before the mark.
+    """
     start = node.start_mark.line
-    end = node.end_mark.line
-    if node.end_mark.column > 0:
+    end, column = node.end_mark.line, node.end_mark.column
+    if column > 0 and end < len(text_lines) and text_lines[end][:column].strip():
         end += 1
-    return start, min(max(end, start + 1), n_text_lines)
+    return start, min(max(end, start + 1), len(text_lines))
 
 
 def _dedent_task_lines(lines: list[str], indent: int) -> list[str]:
@@ -246,7 +401,7 @@ def _task_from_node(node, loader, text_lines: list[str], directives: frozenset[s
     if not isinstance(node, yaml.MappingNode):
         raise NotATaskShape("task entry is not a mapping")
 
-    start, end = _node_line_span(node, len(text_lines))
+    start, end = _node_line_span(node, text_lines)
     raw = _dedent_task_lines(text_lines[start:end], node.start_mark.column)
     while raw and not raw[-1].strip():
         raw.pop()
@@ -265,20 +420,20 @@ def _task_from_node(node, loader, text_lines: list[str], directives: frozenset[s
             raise NotATaskShape("task keys must be strings")
 
         if key == "name":
-            value = loader.construct_object(value_node, deep=True)
+            value = _construct(loader, value_node)
             name = "" if value is None else str(value)
             lo = key_node.start_mark.line - start
-            hi_line, hi_end = _node_line_span(value_node, len(text_lines))
+            _, hi_end = _node_line_span(value_node, text_lines)
             name_span = (lo, max(hi_end - start, lo + 1))
             continue
         if key in directives:
             stored = "tags" if key == "tag" else key
-            directive_map[stored] = loader.construct_object(value_node, deep=True)
+            directive_map[stored] = _construct(loader, value_node)
             continue
         if module is not None:
             raise NotATaskShape(f"second module key {key!r} next to {module}")
         module = parse_module_name(key)
-        body = loader.construct_object(value_node, deep=True)
+        body = _construct(loader, value_node)
         if body is None:
             options = {}
         elif isinstance(body, dict):

@@ -18,7 +18,7 @@ from tasklens.edits import (
     pair_outcomes,
 )
 from tasklens.events import UserAction, build_timelines, parse_event_line
-from tasklens.taskparse import parse_tasks
+from tasklens.taskparse import NotATaskShape, parse_tasks
 
 UTC = timezone.utc
 
@@ -258,6 +258,37 @@ class TestClassifyOutcome:
         assert outcome.minor_subcategory is None
         assert outcome.module_edit_tags == {ModuleEditTag.OTHER}
 
+    def test_middle_task_of_a_play_fully_accepted(self):
+        body = "ansible.builtin.debug:\n  msg: hello"
+        doc = (
+            "- hosts: all\n  tasks:\n"
+            "    - name: first\n      ansible.builtin.ping:\n"
+            "    - name: deploy app config\n      ansible.builtin.debug:\n        msg: hello\n"
+            "    - name: last\n      ansible.builtin.ping:\n"
+        )
+        outcome = classify(body, doc)
+        assert outcome.category is Category.FULLY_ACCEPTED
+        assert outcome.edit_fraction == 0.0
+
+    def test_last_task_before_handlers_fully_accepted(self):
+        doc = (
+            "- hosts: all\n  tasks:\n"
+            "    - name: deploy app config\n"
+            + "".join(f"      {line}\n" for line in SHOWN.splitlines())
+            + "  handlers:\n    - name: restart\n      ansible.builtin.service:\n"
+            "        name: app\n"
+        )
+        outcome = classify(SHOWN, doc)
+        assert outcome.category is Category.FULLY_ACCEPTED
+        assert outcome.committed_task.body_lines() == SHOWN.splitlines()
+
+    @pytest.mark.parametrize("body", ["src: &a [*a]", "src: !!python/name:os.system"])
+    def test_unconstructable_document_is_unresolved(self, body):
+        doc = doc_with("deploy app config", "ansible.builtin.copy:\n  " + body)
+        outcome = classify(SHOWN, doc)
+        assert outcome.category is Category.UNRESOLVED
+        assert outcome.doc_unparseable
+
 
 def options_task(module, options):
     lines = [f"{module}:"] + [f"  {k}: {v}" for k, v in options.items()]
@@ -338,6 +369,26 @@ class TestModuleEditTags:
         shown = options_task("ansible.builtin.lineinfile", {"path": "x"})
         committed = options_task("ansible.builtin.blockinfile", {"path": "x"})
         assert module_edit_tags(shown, committed) == {ModuleEditTag.OTHER}
+
+
+class TestTaskCache:
+    def test_item_memo_is_per_cache(self):
+        doc = (
+            "- hosts: all\n  tasks:\n"
+            "    - name: t\n      takeover: true\n      debug:\n        msg: hi\n"
+            "    - name: u\n      debug:\n        msg: ho\n"
+        )
+        custom = TaskCache(("name", "takeover"))
+        default = TaskCache(Config().directive_keys)
+        first, second = custom.parse(doc)
+        assert first.directives == {"takeover": True}
+        # the default keys read 'takeover' as a second module key
+        with pytest.raises(NotATaskShape):
+            default.parse(doc)
+        assert custom._items and default._items
+        for key, task in default._items.items():
+            assert custom._items.get(key) is not task
+        assert custom.parse(doc + "    - name: v\n      debug:\n        msg: hu\n")[1] is second
 
 
 class TestAnalyzeTimeline:

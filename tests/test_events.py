@@ -345,6 +345,31 @@ def test_read_events_skips_and_counts_malformed(tmp_path):
     assert result.malformed_lines == 2
 
 
+def test_deeply_nested_json_is_malformed():
+    line = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(MalformedJson):
+        parse_event_line(line)
+
+
+def test_read_events_counts_invalid_utf8_lines_as_malformed(tmp_path):
+    def utf8_line(event_id, prompt):
+        obj = json.loads(completion_line(event_id=event_id, prompt=prompt))
+        return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+    raw = [
+        utf8_line("e1", "- name: install nginx"),
+        utf8_line("e2", "- name: caf\u00e9"),  # valid UTF-8, not ASCII
+        utf8_line("e3", "- name: caf\u00e9").replace(b"\xc3\xa9", b"\xe9"),  # Latin-1
+        utf8_line("e4", "- name: x") + b"\xff",
+    ]
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    result = read_events([path])
+    assert [e.event_id for e in result.events] == ["e1", "e2"]
+    assert result.events[1].payload.prompt == "- name: caf\u00e9"
+    assert result.malformed_lines == 2
+
+
 class TestCollectorPaused:
     def test_pauses_and_restores(self):
         assert gc.isenabled()

@@ -210,6 +210,17 @@ class TestCli:
         assert main([command, "--events", "/nonexistent.jsonl"]) == 2
         assert "no such file: /nonexistent.jsonl" in capsys.readouterr().err
 
+    def test_hostile_lines_are_counted_not_fatal(self, small_log, tmp_path, capsys):
+        log = tmp_path / "hostile.jsonl"
+        log.write_bytes(
+            small_log.read_bytes()
+            + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+            + b'{"event_id": "x\xff", "user_id": "u"}\n'
+        )
+        assert main(["report", "--events", str(log), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["data_quality"]["malformed_lines"] == 2
+
     def test_empty_log_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

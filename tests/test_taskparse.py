@@ -2,6 +2,7 @@ import pytest
 
 from tasklens.taskparse import (
     BadModuleKey,
+    BadYamlValue,
     ModuleName,
     NotATaskShape,
     RAW_PARAMS_KEY,
@@ -184,3 +185,46 @@ class TestSerialization:
         assert task.name == "install nginx"
         assert set(task.directives) == {"register", "loop"}
         assert set(task.options) == {"name", "state"}
+
+
+class TestLineSpan:
+    PLAY = """\
+- hosts: all
+  tasks:
+    - name: one
+      debug:
+        msg: a
+
+    # a comment between tasks
+    - name: two
+      debug:
+        msg: b
+  handlers:
+    - name: h
+      debug:
+        msg: c
+"""
+
+    def test_task_lines_end_before_the_next_item(self):
+        one, two = parse_tasks(self.PLAY)
+        assert one.raw_lines == ("name: one", "debug:", "  msg: a", "", "# a comment between tasks")
+        assert two.raw_lines == ("name: two", "debug:", "  msg: b")
+
+    def test_flow_task_keeps_its_own_line(self):
+        (task,) = parse_tasks("- hosts: all\n  tasks:\n    - {name: one, debug: {msg: a}}\n  vars: {}\n")
+        assert task.raw_lines == ("{name: one, debug: {msg: a}}",)
+
+
+class TestUnconstructableValues:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "&a [*a]",  # unconstructable recursive node
+            "!!python/name:os.system",  # no constructor for the tag
+            "!!int nope",  # ValueError from int()
+            "[" * 2000 + "]" * 2000,  # construction recurses per level
+        ],
+    )
+    def test_bad_value_is_a_task_parse_error(self, value):
+        with pytest.raises(BadYamlValue):
+            parse_tasks(f"- name: t\n  copy:\n    src: {value}\n")

@@ -1,0 +1,180 @@
+"""The per-item memo of parse_tasks against the whole-document parse.
+
+Generated playbooks mix what the item cut must get right (play lists and
+top-level lists, comments and blank lines between items, quoted, multi-line
+and nested-block tasks, trailing play keys) with what it must hand to the
+whole-document parse (anchors and aliases, items with a ``tasks`` key, broken
+items, tabs, directives).  Each playbook is also parsed as a growing series of
+snapshots through one memo, the way TaskCache sees a user's edits.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tasklens.taskparse import parse_tasks
+
+WORDS = st.sampled_from(["alpha", "nginx", "db-01", "yes", "0644", "3.5", "null", "x y"])
+MODULES = st.sampled_from(
+    ["debug", "ansible.builtin.copy", "command", "ping", "a.b", "tasks"]
+)
+
+
+@st.composite
+def scalars(draw):
+    word = draw(WORDS)
+    return draw(
+        st.sampled_from(
+            [
+                word,
+                f'"{word}: quoted"',
+                f"'{word}'",
+                f"[{word}, 2]",
+                f"{{k: {word}}}",
+                f"{word}  # trailing comment",
+                f"&anchor {word}",
+                "*anchor",
+                f"!!str {word}",
+                f"[{word}",  # unclosed
+            ]
+        )
+    )
+
+
+@st.composite
+def task_lines(draw, depth=0):
+    """One task's lines, relative to its content column."""
+    lines = []
+    name = draw(st.sampled_from(["none", "plain", "quoted", "folded", "comment"]))
+    word = draw(WORDS)
+    if name == "plain":
+        lines.append(f"name: {word} task")
+    elif name == "quoted":
+        lines.append(f'name: "{word}: task"')
+    elif name == "folded":
+        lines += ["name: >-", f"  {word}", "  continued"]
+    elif name == "comment":
+        lines.append(f"name: {word}  # note")
+    if depth == 0 and draw(st.booleans()) and draw(st.booleans()):
+        lines.append("block:")
+        for _ in range(draw(st.integers(1, 2))):
+            inner = draw(task_lines(depth=1))
+            lines.append("  - " + inner[0])
+            lines += ["    " + line for line in inner[1:]]
+    else:
+        module = draw(MODULES)
+        shape = draw(st.sampled_from(["options", "free", "null", "block_scalar"]))
+        if shape == "free":
+            lines.append(f"{module}: {draw(WORDS)} --flag")
+        elif shape == "null":
+            lines.append(f"{module}:")
+        elif shape == "block_scalar":
+            lines += [f"{module}: |", f"  echo {draw(WORDS)}", "", "  done"]
+        else:
+            lines.append(f"{module}:")
+            keys = draw(st.lists(st.sampled_from(["src", "dest", "msg", "mode"]), max_size=3))
+            lines += [f"  {key}: {draw(scalars())}" for key in keys]
+    for directive in draw(st.lists(st.sampled_from(["when", "tags", "loop", "register"]), max_size=2)):
+        if directive == "loop":
+            lines += ["loop:"] + [f"  - {draw(WORDS)}" for _ in range(draw(st.integers(1, 2)))]
+        else:
+            lines.append(f"{directive}: {draw(scalars())}")
+    return lines
+
+
+# Lines that can fall between items or break them.
+BETWEEN = st.sampled_from(
+    ["", "# comment", "  # indented comment", "      # deep comment", "   "]
+)
+BROKEN = st.sampled_from(
+    [
+        "stray: line",
+        "  badly: indented",
+        "- just a scalar",
+        "- - nested list",
+        "\tfoo: tab",
+        "...",
+        "---",
+    ]
+)
+
+
+@st.composite
+def playbooks(draw):
+    layout = draw(st.sampled_from(["top", "play", "play", "mapping"]))
+    column = {"top": 0, "play": draw(st.sampled_from([2, 4])), "mapping": 2}[layout]
+    head = draw(st.sampled_from([[], ["---"], ["# header"], ["%TAG !e! tag:example.com,2000:", "---"]]))
+    if layout == "play":
+        head += ["- hosts: all", "  become: true", "  tasks:"]
+    elif layout == "mapping":
+        head += ["tasks:"]
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        lines = draw(task_lines())
+        item = [" " * column + "- " + lines[0]] + [" " * (column + 2) + line for line in lines[1:]]
+        for _ in range(draw(st.integers(0, 1))):
+            extra = draw(st.one_of(BETWEEN, BETWEEN, BROKEN))
+            item.insert(draw(st.integers(1, len(item))), extra)
+        items.append(item)
+    tail = []
+    if layout == "play":
+        tail = draw(
+            st.sampled_from(
+                [
+                    [],
+                    ["  handlers:", "    - name: restart", "      debug:", "        msg: h"],
+                    ["  vars:", "    a: 1"],
+                    ["- hosts: db", "  tasks:", "    - debug:", "        msg: d"],
+                ]
+            )
+        )
+    ending = draw(st.sampled_from(["\n", ""]))
+    return head, items, tail, ending
+
+
+def _outcome(text, memo=None):
+    try:
+        return parse_tasks(text) if memo is None else parse_tasks(text, None, memo)
+    except Exception as exc:  # the class is what must match
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(playbooks())
+def test_memo_matches_whole_document_parse(playbook):
+    head, items, tail, ending = playbook
+    memo = {}
+    for count in range(1, len(items) + 1):
+        lines = head + [line for item in items[:count] for line in item] + tail
+        text = "\n".join(lines) + ending
+        assert _outcome(text, memo) == _outcome(text)
+
+
+def test_memo_reuses_items_across_snapshots():
+    task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
+    head = "- hosts: all\n  tasks:\n"
+    memo = {}
+    small = parse_tasks(head + task.format(1) + task.format(2), None, memo)
+    grown = parse_tasks(head + task.format(1) + task.format(2) + task.format(3), None, memo)
+    assert grown[:2] == small
+    assert grown[0] is small[0] and grown[1] is small[1]
+    assert len(memo) == 3
+
+
+def test_anchor_shared_across_items_falls_back():
+    text = (
+        "- hosts: all\n  tasks:\n"
+        "    - debug:\n        msg: &m hello\n"
+        "    - debug:\n        msg: *m\n"
+    )
+    memo = {}
+    assert parse_tasks(text, None, memo) == parse_tasks(text)
+    assert parse_tasks(text, None, memo)[1].options == {"msg": "hello"}
+    assert memo == {}
+
+
+def test_tag_directive_falls_back():
+    text = (
+        "%TAG !! tag:example.com,2000:\n---\n"
+        "- hosts: all\n  tasks:\n    - debug:\n        msg: !!str 5\n"
+    )
+    assert _outcome(text, {}) == _outcome(text)
