@@ -12,7 +12,6 @@ from .events import (
     UserTimeline,
     build_timelines,
     deduplicate,
-    local_date,
     parse_event_line,
     read_events,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "edit_fraction",
     "find_longest_match",
     "load_config",
-    "local_date",
     "matching_blocks",
     "parse_event_line",
     "parse_module_name",

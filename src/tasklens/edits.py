@@ -358,29 +358,14 @@ def module_edit_tags(
     return frozenset(tags)
 
 
-@dataclass
-class TimelineAnalysis:
-    user_id: str
-    outcomes: list[SuggestionOutcome]
-    orphan_actions: int
-    unparseable_suggestions: int
-    unparseable_documents: int = 0
-
-
 def analyze_timeline(
     timeline: UserTimeline,
     config: Config | None = None,
     cache: TaskCache | None = None,
-) -> TimelineAnalysis:
-    """pair + classify for one user."""
+) -> PairingResult:
+    """pair + classify for one user; the result holds the classified outcomes."""
     config = config or Config()
     cache = cache or TaskCache(config.directive_keys)
     paired = pair_outcomes(timeline, config, cache)
-    classified = [classify_outcome(o, config, cache) for o in paired.outcomes]
-    return TimelineAnalysis(
-        user_id=timeline.user_id,
-        outcomes=classified,
-        orphan_actions=paired.orphan_actions,
-        unparseable_suggestions=paired.unparseable_suggestions,
-        unparseable_documents=sum(1 for o in classified if o.doc_unparseable),
-    )
+    paired.outcomes = [classify_outcome(o, config, cache) for o in paired.outcomes]
+    return paired

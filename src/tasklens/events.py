@@ -4,6 +4,10 @@ One JSON object per line.  Required fields: ``event_id``, ``user_id``, ``ts``
 (RFC 3339 with an explicit UTC offset) and ``type``; the remaining fields
 depend on the event type.  Unknown extra fields are ignored.  Malformed lines
 are never fatal: ingestion skips them and keeps a count for the report.
+
+Each event carries its time twice, both derived once from ``ts``: ``instant``
+(epoch seconds; dedup and ordering compare it) and ``day`` (the calendar date
+of the user's own wall clock; retention and the temporal profiles count it).
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -126,13 +132,9 @@ class RawEvent:
     event_id: str
     user_id: str
     kind: EventKind
-    timestamp: datetime
+    instant: float  # epoch seconds
+    day: date  # calendar date in the event's own UTC offset (user-local)
     payload: Payload
-
-
-def local_date(e: RawEvent) -> date:
-    """Calendar date in the event's own UTC offset (user-local wall clock)."""
-    return e.timestamp.date()
 
 
 _MISSING = object()
@@ -167,20 +169,58 @@ def _require_int(obj: dict, name: str, minimum: int, maximum: int | None = None)
     return value
 
 
-def _parse_timestamp(obj: dict) -> datetime:
+# RFC 3339 date-time, nothing else: ASCII digits, 'T' or 't', seconds required,
+# an optional fraction of any length (truncated to microseconds), then 'Z',
+# 'z' or a numeric offset.  Checked here rather than by datetime.fromisoformat,
+# whose acceptance differs between Python versions.
+_RFC3339 = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])"
+    r"(?:\.([0-9]+))?(?:[Zz]|([+-])([01][0-9]|2[0-3]):([0-5][0-9]))"
+)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@lru_cache(maxsize=1024)
+def _local_day(text: str) -> tuple[date, int]:
+    """``YYYY-MM-DD`` -> (its date, the epoch seconds of its midnight read as UTC).
+
+    Cached, so events on the same day share one ``date`` object.
+    """
+    day = date(int(text[:4]), int(text[5:7]), int(text[8:]))
+    return day, (day.toordinal() - _EPOCH_ORDINAL) * 86400
+
+
+@lru_cache(maxsize=1024)
+def _parse_stamp(raw: str) -> tuple[float, date]:
+    """(epoch seconds, user-local date) of one ``ts`` text.
+
+    Cached: whole-second stamps repeat from line to line (92-99% hits on the
+    benchmark logs), and a stamp that never repeats costs one cache miss.
+    """
+    match = _RFC3339.fullmatch(raw)
+    if match is None:
+        raise BadTimestamp(f"not an RFC 3339 timestamp with a UTC offset: {raw!r}")
+    ymd, hour, minute, second, fraction, sign, off_hour, off_minute = match.groups()
+    try:
+        day, seconds = _local_day(ymd)
+    except ValueError:
+        raise BadTimestamp(f"no such date: {raw!r}") from None
+    seconds += int(hour) * 3600 + int(minute) * 60 + int(second)
+    if sign is not None:
+        offset = int(off_hour) * 3600 + int(off_minute) * 60
+        seconds -= offset if sign == "+" else -offset
+    micros = 0 if fraction is None else int(fraction[:6].ljust(6, "0"))
+    # Whole microseconds divided once, as datetime.timestamp() computes it.
+    return (seconds * 1_000_000 + micros) / 1_000_000, day
+
+
+def _parse_timestamp(obj: dict) -> tuple[float, date]:
     raw = obj.get("ts", _MISSING)
     if raw is _MISSING:
         raise MissingField("ts")
     if type(raw) is not str:
         raise BadTimestamp(f"ts must be a string, got {type(raw).__name__}")
-    text = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
-    try:
-        ts = datetime.fromisoformat(text)
-    except ValueError:
-        raise BadTimestamp(f"unparseable timestamp: {raw!r}") from None
-    if ts.tzinfo is None:
-        raise BadTimestamp(f"timestamp lacks a UTC offset: {raw!r}")
-    return ts
+    return _parse_stamp(raw)
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in EventKind}
@@ -189,6 +229,11 @@ _ACTION_BY_NAME = {action.value: action for action in UserAction}
 
 _scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# A lone surrogate cannot be encoded as UTF-8.  Invalid UTF-8 bytes decode to
+# one under "surrogateescape", and a JSON \u escape can spell one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# A JSON escape of a code point in U+D800..U+DFFF; lines without one skip the walk.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _decode_json(line: str):
@@ -207,15 +252,38 @@ def _decode_json(line: str):
     return obj
 
 
+def _holds_surrogate(value) -> bool:
+    """Whether any string in a decoded JSON value, keys included, holds a lone surrogate."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is str:
+            if _SURROGATE.search(value):
+                return True
+        elif type(value) is dict:
+            stack.extend(value)
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+    return False
+
+
 def parse_event_line(line: str) -> RawEvent:
-    """Parse and validate one JSONL event line."""
+    """Parse and validate one JSONL event line.
+
+    A line that holds a lone surrogate, raw or as a JSON escape, is malformed.
+    """
+    if not line.isascii() and _SURROGATE.search(line):
+        raise MalformedJson("line is not valid UTF-8")
     obj = _decode_json(line)
     if not isinstance(obj, dict):
         raise MalformedJson("event line is not a JSON object")
+    if _SURROGATE_ESCAPE.search(line) and _holds_surrogate(obj):
+        raise MalformedJson("a string holds an unpaired surrogate")
 
     event_id = _require_str(obj, "event_id")
     user_id = _require_str(obj, "user_id")
-    ts = _parse_timestamp(obj)
+    instant, day = _parse_timestamp(obj)
     try:
         type_name = obj["type"]
     except KeyError:
@@ -261,7 +329,7 @@ def parse_event_line(line: str) -> RawEvent:
             label,
         )
 
-    return RawEvent(event_id, user_id, kind, ts, payload)
+    return RawEvent(event_id, user_id, kind, instant, day, payload)
 
 
 @contextmanager
@@ -289,15 +357,11 @@ class IngestResult:
     malformed_lines: int
 
 
-# Invalid UTF-8 bytes decode to these lone surrogates under "surrogateescape".
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
 @collector_paused()
 def read_events(paths: Iterable[str | Path]) -> IngestResult:
     """Read JSONL logs; malformed lines are skipped and counted, never fatal.
 
-    A line that is not valid UTF-8 counts as malformed.
+    A line that is not valid UTF-8 counts as malformed (see parse_event_line).
     """
     events: list[RawEvent] = []
     malformed = 0
@@ -306,9 +370,6 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
             for line in handle:
                 if not line or line.isspace():
                     continue
-                if not line.isascii() and _UNDECODABLE.search(line):
-                    malformed += 1
-                    continue
                 try:
                     events.append(parse_event_line(line))
                 except EventParseError:
@@ -316,9 +377,17 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
     return IngestResult(events=events, malformed_lines=malformed)
 
 
-def _time_key(event: RawEvent) -> tuple[float, str]:
-    # epoch-float instants order identically to aware datetimes and compare faster
-    return (event.timestamp.timestamp(), event.event_id)
+_TIME_ORDER = attrgetter("instant", "event_id")
+
+
+def _by_user(events: Iterable[RawEvent]) -> list[tuple[str, list[RawEvent]]]:
+    """Events grouped per user in user_id order, each group sorted by
+    (instant, event_id); ties keep their input order.  Sorted input costs
+    one linear pass."""
+    per_user: dict[str, list[RawEvent]] = {}
+    for event in events:
+        per_user.setdefault(event.user_id, []).append(event)
+    return [(user_id, sorted(per_user[user_id], key=_TIME_ORDER)) for user_id in sorted(per_user)]
 
 
 def deduplicate(
@@ -329,21 +398,17 @@ def deduplicate(
     An event is a duplicate when an already-kept event with the same user,
     kind and payload content lies at most ``window_seconds`` before it; the
     earliest of each burst survives.  Output is sorted by
-    (user_id, timestamp, event_id); ties keep their input order.
+    (user_id, instant, event_id); ties keep their input order.
     """
-    per_user: dict[str, list[RawEvent]] = {}
-    for event in events:
-        per_user.setdefault(event.user_id, []).append(event)
     kept: list[RawEvent] = []
-    for user_id in sorted(per_user):
+    for _, user_events in _by_user(events):
         last_kept_at: dict[tuple, float] = {}
-        for event in sorted(per_user[user_id], key=_time_key):
-            instant = event.timestamp.timestamp()
+        for event in user_events:
             key = (event.kind, event.payload.content_key())
             previous = last_kept_at.get(key)
-            if previous is not None and instant - previous <= window_seconds:
+            if previous is not None and event.instant - previous <= window_seconds:
                 continue
-            last_kept_at[key] = instant
+            last_kept_at[key] = event.instant
             kept.append(event)
     return kept
 
@@ -360,17 +425,10 @@ class UserTimeline:
     def __post_init__(self):
         if not self.events:
             raise ValueError("a timeline requires at least one event")
-        self.active_days = {local_date(e) for e in self.events}
+        self.active_days = {e.day for e in self.events}
         self.first_day = min(self.active_days)
 
 
 def build_timelines(events: Iterable[RawEvent]) -> list[UserTimeline]:
     """Partition deduplicated events into one timeline per user, user_id order."""
-    per_user: dict[str, list[RawEvent]] = {}
-    for event in events:
-        per_user.setdefault(event.user_id, []).append(event)
-    timelines = []
-    for user_id in sorted(per_user):
-        user_events = sorted(per_user[user_id], key=lambda e: (e.timestamp, e.event_id))
-        timelines.append(UserTimeline(user_id=user_id, events=user_events))
-    return timelines
+    return [UserTimeline(user_id, user_events) for user_id, user_events in _by_user(events)]

@@ -8,7 +8,7 @@ from datetime import date, timedelta
 from typing import Iterable
 
 from .edits import Category, SuggestionOutcome
-from .events import EventKind, RawEvent, UserTimeline, local_date
+from .events import EventKind, RawEvent, UserTimeline
 
 WEEKDAY_NAMES = tuple(calendar.day_name)  # Monday .. Sunday
 
@@ -182,8 +182,7 @@ def temporal_profile(
     for event in events:
         if event.kind is not EventKind.COMPLETION:
             continue
-        day = local_date(event)
-        daily[day] = daily.get(day, 0) + 1
+        daily[event.day] = daily.get(event.day, 0) + 1
 
     if window is None:
         if not daily:

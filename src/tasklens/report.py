@@ -26,7 +26,7 @@ from .edits import (
     TaskCache,
     analyze_timeline,
 )
-from .events import build_timelines, collector_paused, deduplicate, local_date, read_events
+from .events import build_timelines, collector_paused, deduplicate, read_events
 from .feedback import FeedbackSummary, summarize_feedback
 from .metrics import (
     AcceptanceSummary,
@@ -93,17 +93,13 @@ def run_pipeline(
     ingest = read_events(event_paths)
     events = ingest.events
     if window_start or window_end:
-        events = [
-            e
-            for e in events
-            if (window_start is None or local_date(e) >= window_start)
-            and (window_end is None or local_date(e) <= window_end)
-        ]
+        first, last = window_start or date.min, window_end or date.max
+        events = [e for e in events if first <= e.day <= last]
     if not events:
         raise ZeroEvents("no parseable events in the analysis window")
 
-    dates = [local_date(e) for e in events]
-    window = (window_start or min(dates), window_end or max(dates))
+    days = {e.day for e in events}
+    window = (window_start or min(days), window_end or max(days))
 
     deduped = deduplicate(events, config.dedup_window_seconds)
     duplicates_removed = len(events) - len(deduped)
@@ -111,18 +107,10 @@ def run_pipeline(
     returning = returning_user_cohort(timelines)
 
     cache = TaskCache(config.directive_keys)
-    outcomes: list[SuggestionOutcome] = []
-    orphan_actions = 0
-    unparseable_suggestions = 0
-    unparseable_documents = 0
-    for timeline in timelines:  # user_id order
-        if timeline.user_id not in returning:
-            continue
-        analysis = analyze_timeline(timeline, config, cache)
-        outcomes.extend(analysis.outcomes)
-        orphan_actions += analysis.orphan_actions
-        unparseable_suggestions += analysis.unparseable_suggestions
-        unparseable_documents += analysis.unparseable_documents
+    analyses = [  # user_id order
+        analyze_timeline(t, config, cache) for t in timelines if t.user_id in returning
+    ]
+    outcomes = [o for analysis in analyses for o in analysis.outcomes]
 
     summary = acceptance_summary(outcomes)
     return AnalysisReport(
@@ -141,10 +129,10 @@ def run_pipeline(
         data_quality=DataQuality(
             malformed_lines=ingest.malformed_lines,
             duplicates_removed=duplicates_removed,
-            orphan_actions=orphan_actions,
+            orphan_actions=sum(a.orphan_actions for a in analyses),
             unresolved_outcomes=summary.unresolved,
-            unparseable_suggestions=unparseable_suggestions,
-            unparseable_documents=unparseable_documents,
+            unparseable_suggestions=sum(a.unparseable_suggestions for a in analyses),
+            unparseable_documents=sum(1 for o in outcomes if o.doc_unparseable),
         ),
     )
 

@@ -1,7 +1,7 @@
 import gc
 import json
 import random
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
@@ -17,7 +17,6 @@ from tasklens.events import (
     build_timelines,
     collector_paused,
     deduplicate,
-    local_date,
     parse_event_line,
     read_events,
 )
@@ -38,11 +37,52 @@ def completion_line(event_id="e1", user_id="u1", ts="2023-06-01T09:00:00+02:00",
     return json.dumps(obj)
 
 
+def utc_instant(*fields):
+    return datetime(*fields, tzinfo=timezone.utc).timestamp()
+
+
+# (ts, UTC instant, local day); None for a stamp that must be rejected.
+RFC3339_CASES = [
+    ("2023-06-01T08:00:00+00:00", utc_instant(2023, 6, 1, 8), date(2023, 6, 1)),
+    ("2023-06-01t08:00:00z", utc_instant(2023, 6, 1, 8), date(2023, 6, 1)),
+    ("2023-06-01T08:00:00-00:00", utc_instant(2023, 6, 1, 8), date(2023, 6, 1)),
+    ("2023-06-01T08:00:00.1+00:00", utc_instant(2023, 6, 1, 8, 0, 0, 100_000), date(2023, 6, 1)),
+    ("2023-06-01T08:00:00.123456789-05:30", utc_instant(2023, 6, 1, 13, 30, 0, 123_456),
+     date(2023, 6, 1)),
+    ("2023-06-01T23:30:00-02:00", utc_instant(2023, 6, 2, 1, 30), date(2023, 6, 1)),
+    ("2023-06-01T00:30:00+23:59", utc_instant(2023, 5, 31, 0, 31), date(2023, 6, 1)),
+    ("2024-02-29T23:59:59Z", utc_instant(2024, 2, 29, 23, 59, 59), date(2024, 2, 29)),
+    ("2023-W22-4T08:00:00+00:00", None, None),
+    ("20230601T080000+0000", None, None),
+    ("2023-06-01 08:00+01", None, None),
+    ("2023-06-01 08:00:00+00:00", None, None),
+    ("2023-06-01T09:00:00", None, None),
+    ("2023-06-01", None, None),
+    ("2023-06-01T08:00+00:00", None, None),
+    ("2023-06-01T08:00:00.+00:00", None, None),
+    ("2023-06-01T08:00:00,5+00:00", None, None),
+    ("2023-06-01T08:00:00+0000", None, None),
+    ("2023-06-01T08:00:00+01", None, None),
+    ("2023-06-01T08:00:00+00:00:00", None, None),
+    ("2023-06-01T08:00:00+24:00", None, None),
+    ("2023-06-01T24:00:00Z", None, None),
+    ("2023-06-01T08:60:00Z", None, None),
+    ("2023-06-01T08:00:60Z", None, None),
+    ("2023-02-29T08:00:00Z", None, None),
+    ("2023-13-01T08:00:00Z", None, None),
+    ("0000-01-01T00:00:00Z", None, None),
+    ("\uff12023-06-01T08:00:00Z", None, None),
+    ("2023-06-01T08:00:00Z\n", None, None),
+    (" 2023-06-01T08:00:00Z", None, None),
+]
+
+
 class TestParseEventLine:
     def test_valid_completion_keeps_offset(self):
         event = parse_event_line(completion_line())
         assert event.kind is EventKind.COMPLETION
-        assert event.timestamp.utcoffset() == timedelta(hours=2)
+        assert event.day == date(2023, 6, 1)
+        assert event.instant == utc_instant(2023, 6, 1, 7)
         assert event.payload.suggestion_id == "s1"
 
     def test_unknown_extra_fields_ignored(self):
@@ -90,11 +130,56 @@ class TestParseEventLine:
 
     def test_zulu_suffix_accepted(self):
         event = parse_event_line(completion_line(ts="2023-06-01T09:00:00Z"))
-        assert event.timestamp.utcoffset() == timedelta(0)
+        assert event.instant == utc_instant(2023, 6, 1, 9)
 
     def test_garbage_timestamp(self):
         with pytest.raises(BadTimestamp):
             parse_event_line(completion_line(ts="yesterday"))
+
+    @pytest.mark.parametrize("ts,instant,day", RFC3339_CASES, ids=[c[0] for c in RFC3339_CASES])
+    def test_rfc3339_timestamps(self, ts, instant, day):
+        if instant is None:
+            with pytest.raises(BadTimestamp):
+                parse_event_line(completion_line(ts=ts))
+        else:
+            event = parse_event_line(completion_line(ts=ts))
+            assert (event.instant, event.day) == (instant, day)
+
+    def test_instant_and_day_match_datetime(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            zone = timezone(timedelta(minutes=rng.randrange(-23 * 60 - 59, 24 * 60)))
+            at = datetime(
+                rng.randrange(1, 10000), rng.randrange(1, 13), rng.randrange(1, 29),
+                rng.randrange(24), rng.randrange(60), rng.randrange(60),
+                rng.choice((0, rng.randrange(1_000_000))), tzinfo=zone,
+            )
+            event = parse_event_line(completion_line(ts=at.isoformat()))
+            assert (event.instant, event.day) == (at.timestamp(), at.date())
+
+    def test_same_day_shares_one_date_object(self):
+        first = parse_event_line(completion_line(ts="2023-06-01T00:00:01+02:00"))
+        second = parse_event_line(completion_line(ts="2023-06-01T23:59:59-07:00"))
+        assert first.day is second.day
+
+    @pytest.mark.parametrize(
+        "text",
+        ["bad\\udc80", "\\ud83d", "\\ud83d\\u0041", "\\ude00\\ud83d", "\\uDBFF", "\udc80"],
+        ids=["low", "high", "high-then-bmp", "reversed-pair", "upper-case-high", "raw-low"],
+    )
+    def test_unpaired_surrogate_is_malformed(self, text):
+        line = completion_line().replace('"s1"', f'"s1", "extra": ["{text}"]')
+        with pytest.raises(MalformedJson):
+            parse_event_line(line)
+        line = completion_line().replace('"s1"', f'"{text}"')
+        with pytest.raises(MalformedJson):
+            parse_event_line(line)
+
+    def test_surrogate_pair_escape_is_valid(self):
+        line = completion_line().replace('"s1"', '"\\ud83d\\ude00\\u00e9"')
+        assert parse_event_line(line).payload.suggestion_id == "\U0001f600\u00e9"
+        line = completion_line().replace('"s1"', '"\\\\udc80"')
+        assert parse_event_line(line).payload.suggestion_id == "\\udc80"
 
     def test_suggestion_line_count_must_match_text(self):
         obj = {
@@ -173,15 +258,18 @@ class TestParseEventLine:
 class TestLocalDate:
     def test_negative_offset_keeps_wall_clock_date(self):
         event = parse_event_line(completion_line(ts="2023-06-01T23:30:00-02:00"))
-        assert local_date(event) == date(2023, 6, 1)
+        assert event.day == date(2023, 6, 1)
+        assert event.instant == utc_instant(2023, 6, 2, 1, 30)
 
     def test_positive_offset_keeps_wall_clock_date(self):
         event = parse_event_line(completion_line(ts="2023-06-01T23:30:00+03:00"))
-        assert local_date(event) == date(2023, 6, 1)
+        assert event.day == date(2023, 6, 1)
+        assert event.instant == utc_instant(2023, 6, 1, 20, 30)
 
     def test_year_boundary(self):
         event = parse_event_line(completion_line(ts="2023-12-31T23:59:59+00:00"))
-        assert local_date(event) == date(2023, 12, 31)
+        assert event.day == date(2023, 12, 31)
+        assert event.instant == utc_instant(2023, 12, 31, 23, 59, 59)
 
 
 def make_events(rows):
@@ -263,18 +351,56 @@ class TestDeduplicate:
         assert [e.payload.document_text for e in kept] == ["b", "a", "x"]
 
     def _random_soup(self, seed):
+        """400 events over 3 minutes, each written in one of several offsets."""
         rng = random.Random(seed)
+        base = datetime(2023, 6, 1, 10, tzinfo=timezone.utc)
+        offsets = [timezone(timedelta(minutes=m)) for m in (0, 120, -210, 345, -720)]
         rows = []
         for i in range(400):
+            at = base + timedelta(seconds=rng.randrange(180), microseconds=rng.choice((0, 500_000)))
             rows.append(
                 (
                     f"e{i}",
                     f"u{rng.randrange(3)}",
-                    f"2023-06-01T10:{rng.randrange(3):02d}:{rng.randrange(60):02d}+00:00",
+                    at.astimezone(rng.choice(offsets)).isoformat(),
                     f"doc{rng.randrange(4)}",
                 )
             )
         return make_events(rows)
+
+    @staticmethod
+    def _oracle(events, window_seconds=10.0):
+        """deduplicate's docstring, brute force: visit in (user, instant,
+        event_id, input) order and keep an event unless a kept event with the
+        same user, kind and payload lies at most the window before it."""
+        order = sorted(
+            range(len(events)),
+            key=lambda i: (events[i].user_id, events[i].instant, events[i].event_id, i),
+        )
+        kept = []
+        for i in order:
+            event = events[i]
+            if not any(
+                k.user_id == event.user_id
+                and k.kind is event.kind
+                and k.payload.content_key() == event.payload.content_key()
+                and 0 <= event.instant - k.instant <= window_seconds
+                for k in kept
+            ):
+                kept.append(event)
+        return kept
+
+    @pytest.mark.parametrize("window", [0.0, 0.5, 10.0, 60.0])
+    def test_matches_brute_force_oracle(self, window):
+        for seed in range(5):
+            events = self._random_soup(seed)
+            assert deduplicate(events, window) == self._oracle(events, window)
+
+    def test_timelines_keep_dedup_order(self):
+        for seed in range(5):
+            deduped = deduplicate(self._random_soup(seed))
+            flattened = [e for t in build_timelines(deduped) for e in t.events]
+            assert flattened == deduped
 
     def test_idempotent(self):
         for seed in range(5):
@@ -286,7 +412,7 @@ class TestDeduplicate:
         for seed in range(5):
             events = self._random_soup(seed)
             firsts = {}
-            for event in sorted(events, key=lambda e: (e.user_id, e.timestamp, e.event_id)):
+            for event in sorted(events, key=lambda e: (e.user_id, e.instant, e.event_id)):
                 key = (event.user_id, event.kind, event.payload.content_key())
                 firsts.setdefault(key, event.event_id)
             kept_ids = {e.event_id for e in deduplicate(events)}
@@ -308,7 +434,7 @@ class TestTimelines:
         assert [t.user_id for t in timelines] == ["u1", "u2", "u3"]
         assert sum(len(t.events) for t in timelines) == len(deduped)
         for timeline in timelines:
-            stamps = [e.timestamp for e in timeline.events]
+            stamps = [e.instant for e in timeline.events]
             assert stamps == sorted(stamps)
 
     def test_single_event_timeline(self):

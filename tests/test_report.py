@@ -74,6 +74,21 @@ class TestRunPipeline:
         with pytest.raises(ZeroEvents):
             run_pipeline([small_log], Config(), window_end=date(2020, 1, 1))
 
+    def test_one_sided_window_equals_a_cut_log(self, small_log, small_report, tmp_path):
+        """A bound drops exactly the lines whose user-local day lies beyond it."""
+        first, last = small_report.window
+        assert first < last
+        lines = small_log.read_text().splitlines()
+        for bounds, day in (({"window_start": last}, last), ({"window_end": first}, first)):
+            cut = write_log(tmp_path / "cut.jsonl", [
+                line for line in lines if json.loads(line)["ts"][:10] == day.isoformat()
+            ])
+            bounded = run_pipeline([small_log], Config(), **bounds)
+            assert bounded.window == (day, day)
+            assert render_report(bounded, "json") == render_report(
+                run_pipeline([cut], Config()), "json"
+            )
+
     def test_every_count_reconstructible_from_log(self, small_log, small_report):
         """Independent recount of the raw JSONL, no library code."""
         by_type = {}
@@ -216,10 +231,19 @@ class TestCli:
             small_log.read_bytes()
             + b"[" * 100_000 + b"]" * 100_000 + b"\n"
             + b'{"event_id": "x\xff", "user_id": "u"}\n'
+            # lone surrogates, once in a rendered label and once in YAML input
+            + b'{"event_id": "f", "user_id": "fb", "ts": "2023-06-01T08:00:00Z",'
+            b' "type": "feedback", "stars": 2, "comment": "c", "label": "bad\\udc80"}\n'
+            + b'{"event_id": "s", "user_id": "u00000", "ts": "2023-06-01T09:00:00Z",'
+            b' "type": "suggestion", "suggestion_id": "sx", "text": "- name: x\\udc80",'
+            b' "lines": 1, "tokens": 3}\n'
         )
         assert main(["report", "--events", str(log), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["data_quality"]["malformed_lines"] == 2
+        assert report["data_quality"]["malformed_lines"] == 4
+        assert main(["analyze", "--events", str(log)]) == 0
+        csv_dir = tmp_path / "csv"
+        assert main(["report", "--events", str(log), "--format", "csv", "--out", str(csv_dir)]) == 0
 
     def test_empty_log_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
