@@ -88,22 +88,27 @@ class PairingResult:
 class TaskCache:
     """Memoizes parse_tasks per exact text; telemetry repeats texts heavily.
 
-    It also owns the per-item memo that parse_tasks fills on each miss, so a
-    snapshot that repeats an earlier snapshot's tasks parses only its new ones.
-    Item entries hold only for this cache's directive keys.
+    It also owns the memos that parse_tasks fills on each miss: the per-item
+    memo, so a snapshot that repeats an earlier snapshot's tasks parses only
+    its new ones, and the skeleton verdicts, so snapshots that differ only in
+    their tasks check the rest of the document once.  Item entries hold only
+    for this cache's directive keys.
     """
 
     def __init__(self, directive_keys: tuple[str, ...]):
         self._directive_keys = directive_keys
         self._hits: dict[str, tuple[AnsibleTask, ...] | TaskParseError] = {}
         self._items: dict[str, AnsibleTask | None] = {}
+        self._skeletons: dict[tuple[str, int, int], bool] = {}
         self._shown: dict[tuple[str, str | None], AnsibleTask | TaskParseError] = {}
 
     def parse(self, text: str) -> tuple[AnsibleTask, ...]:
         cached = self._hits.get(text)
         if cached is None:
             try:
-                cached = tuple(parse_tasks(text, self._directive_keys, self._items))
+                cached = tuple(
+                    parse_tasks(text, self._directive_keys, self._items, self._skeletons)
+                )
             except TaskParseError as exc:
                 cached = exc
             self._hits[text] = cached
@@ -219,18 +224,26 @@ def match_committed_task(
     """Locate the committed form of a shown task in a document snapshot.
 
     Name equality wins (the name is user-authored, so it survives body edits);
-    otherwise the best line-similarity candidate above the floor.  None means
-    the task is absent, i.e. deleted after acceptance.
+    otherwise the best line-similarity candidate above the floor, the first
+    one on a tie.  None means the task is absent, i.e. deleted after
+    acceptance.
     """
     if shown.name is not None:
         for task in doc_tasks:
             if task.name == shown.name:
                 return task
-    shown_lines = [line.rstrip() for line in shown.raw_lines]
+    shown_lines = shown.stripped_lines()
+    shown_set = set(shown_lines)
     best: AnsibleTask | None = None
     best_ratio = 0.0
     for task in doc_tasks:
-        ratio = similarity_ratio(shown_lines, [line.rstrip() for line in task.raw_lines]).value
+        lines = task.stripped_lines()
+        total = len(shown_lines) + len(lines)
+        # Every matched line of the candidate is one of the shown lines, so
+        # this bounds its ratio; only a strictly greater ratio replaces the best.
+        if total and 2.0 * sum(map(shown_set.__contains__, lines)) / total <= best_ratio:
+            continue
+        ratio = similarity_ratio(shown_lines, lines).value
         if ratio > best_ratio:
             best, best_ratio = task, ratio
     if best is not None and best_ratio >= rename_match_floor:

@@ -404,7 +404,9 @@ def deduplicate(
     for _, user_events in _by_user(events):
         last_kept_at: dict[tuple, float] = {}
         for event in user_events:
-            key = (event.kind, event.payload.content_key())
+            # The payload class stands for the kind: an Enum member hashes in
+            # Python code, a class in C.
+            key = (type(event.payload), event.payload.content_key())
             previous = last_kept_at.get(key)
             if previous is not None and event.instant - previous <= window_seconds:
                 continue

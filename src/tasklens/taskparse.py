@@ -11,9 +11,12 @@ dash blanked, so tasks cut from different nesting depths compare line-by-line.
 Successive snapshots of one playbook repeat almost all of their tasks, so
 ``parse_tasks`` can take a per-item memo: it cuts the task list into its
 items, parses each distinct item once, and checks the rest of the document
-with a skeleton in which every item is an empty placeholder.  Any text the
-cut cannot vouch for goes through the whole-document parse, which stays the
-only source of errors.
+with a skeleton in which the whole task list is one empty placeholder.  A
+repeated ``- {}`` entry leaves the parser in the state it found, so one
+placeholder holds exactly when one per item would; snapshots that differ only
+in their tasks share one skeleton, whose verdict a second memo keeps.  Any
+text the cut cannot vouch for goes through the whole-document parse, which
+stays the only source of errors.
 """
 
 from __future__ import annotations
@@ -121,6 +124,17 @@ class AnsibleTask:
     raw_lines: tuple[str, ...]
     name_span: tuple[int, int] | None = None
 
+    def stripped_lines(self) -> list[str]:
+        """Task lines, trailing whitespace trimmed.
+
+        The result is cached on the instance; treat it as read-only.
+        """
+        cached = self.__dict__.get("_stripped_lines")
+        if cached is None:
+            cached = [line.rstrip() for line in self.raw_lines]
+            object.__setattr__(self, "_stripped_lines", cached)
+        return cached
+
     def body_lines(self) -> list[str]:
         """Task lines minus the name entry, trailing whitespace trimmed.
 
@@ -128,15 +142,10 @@ class AnsibleTask:
         """
         cached = self.__dict__.get("_body_lines")
         if cached is None:
-            if self.name_span is None:
-                cached = [line.rstrip() for line in self.raw_lines]
-            else:
+            cached = self.stripped_lines()
+            if self.name_span is not None:
                 lo, hi = self.name_span
-                cached = [
-                    line.rstrip()
-                    for i, line in enumerate(self.raw_lines)
-                    if not lo <= i < hi
-                ]
+                cached = cached[:lo] + cached[hi:]
             object.__setattr__(self, "_body_lines", cached)
         return cached
 
@@ -171,6 +180,7 @@ def parse_tasks(
     text: str,
     directive_keys: Iterable[str] | None = None,
     memo: dict[str, AnsibleTask | None] | None = None,
+    skeletons: dict[tuple[str, int, int], bool] | None = None,
 ) -> list[AnsibleTask]:
     """Parse every task in a task list, a play's ``tasks:`` section, or a bare fragment.
 
@@ -179,13 +189,15 @@ def parse_tasks(
 
     ``memo`` maps the exact text of a task-list item to its parsed task (None
     when the item does not parse alone).  Pass the same dict only together
-    with the same ``directive_keys``; the result does not depend on it.
+    with the same ``directive_keys``.  ``skeletons`` keeps the verdicts on the
+    rest of each document across calls; it is used only with ``memo``.  The
+    result depends on neither.
     """
     directives = frozenset(directive_keys) if directive_keys is not None else frozenset(
         DEFAULT_DIRECTIVE_KEYS
     )
     if memo is not None:
-        tasks = _parse_by_item(text, directives, memo)
+        tasks = _parse_by_item(text, directives, memo, {} if skeletons is None else skeletons)
         if tasks is not None:
             return tasks
     loader = _Loader(text)
@@ -197,7 +209,11 @@ def parse_tasks(
             return []
         text_lines = text.splitlines()
         task_nodes = _collect_task_nodes(root)
-        return [_task_from_node(node, loader, text_lines, directives) for node in task_nodes]
+        anchored = "&" in text
+        return [
+            _task_from_node(node, loader, text_lines, directives, anchored)
+            for node in task_nodes
+        ]
     finally:
         loader.dispose()
 
@@ -211,22 +227,59 @@ def _compose(loader):
         raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
 
 
-def _construct(loader, node) -> Any:
+# Aliases let a short text name one node many times ("billion laughs": each
+# level of ``&b [*a, *a]`` doubles the value), and everything downstream walks
+# the built value as a tree.  A value whose aliases expand it beyond this many
+# nodes is refused; a value without aliases is never refused for its size.
+_MAX_EXPANDED_NODES = 10_000
+
+
+def _construct(loader, node, anchored: bool) -> Any:
+    """The value of ``node``; ``anchored`` says whether the text defines an
+    anchor, without which no node can be an alias."""
     try:
+        if anchored:
+            sizes: dict[int, int] = {}
+            if _expanded_size(node, sizes) > max(_MAX_EXPANDED_NODES, len(sizes)):
+                raise ValueError(f"aliases expand it beyond {_MAX_EXPANDED_NODES} nodes")
         return loader.construct_object(node, deep=True)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # SafeConstructor raises ConstructorError for recursive aliases and
         # unknown tags, ValueError for bad !!int/!!float/timestamp literals,
-        # and recurses once per nesting level.
+        # and recurses once per nesting level, as the size walk does.
         detail = getattr(exc, "problem", None) or exc
         raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
+
+
+def _expanded_size(node, sizes: dict[int, int]) -> int:
+    """Nodes in the value built from ``node``, counting an aliased node at each use.
+
+    ``sizes`` memoizes by node identity, so the walk visits each distinct node
+    once; its length is then the number of distinct nodes.  A node reached
+    again while it is being walked (a recursive alias, which construction
+    refuses) counts 0.
+    """
+    size = sizes.get(id(node))
+    if size is None:
+        sizes[id(node)] = 0
+        size = 1
+        if isinstance(node, yaml.SequenceNode):
+            for child in node.value:
+                size += _expanded_size(child, sizes)
+        elif isinstance(node, yaml.MappingNode):
+            for key_node, value_node in node.value:
+                size += _expanded_size(key_node, sizes) + _expanded_size(value_node, sizes)
+        sizes[id(node)] = size
+    return size
 
 
 # Texts the item cut does not handle: an anchor may be defined in one item and
 # aliased in another, and a tab, a BOM or a line break other than "\n" makes
 # PyYAML's marks disagree with the "\n" lines cut here.  A %TAG directive
 # (a line starting with "%") changes how the tags inside every item resolve.
-_CUT_UNSAFE = re.compile("[&\t\r\ufeff\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# Twelve substring scans run at C speed; a regex character class steps through
+# the text one character at a time.
+_CUT_UNSAFE_CHARS = "&\t\r\ufeff\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # Line patterns start at the "\n" before the line: a literal first character
 # lets the regex engine skip ahead, where "^" would be tried at every offset.
 _TASKS_KEY_LINE = re.compile(r"\n *tasks:(?: +#[^\n]*| *)(?=\n|\Z)")
@@ -245,13 +298,13 @@ def _cut_task_list(text: str) -> tuple[int, list[str], str, int] | None:
     neither blank nor a comment, indented at or below its column that does
     not start an item.  Items keep their original columns, so each parses
     alone with the marks it has in the document.  The skeleton is the text
-    with each item replaced by a ``- {}`` line; its placeholders start at
-    ``first line`` + i.
+    with all the items replaced by one ``- {}`` line, at line ``first line``
+    and column ``column``.
     """
     # An offset in ``lined`` is one past the same character's offset in
     # ``text``, so a match of "\n" at offset p starts a line at text offset p.
     lined = "\n" + text
-    if _CUT_UNSAFE.search(text) or "\n%" in lined:
+    if any(ch in text for ch in _CUT_UNSAFE_CHARS) or "\n%" in lined:
         return None
     key = _TASKS_KEY_LINE.search(lined)
     first = _CONTENT_LINE.search(lined, key.end() if key else 0)
@@ -269,12 +322,15 @@ def _cut_task_list(text: str) -> tuple[int, list[str], str, int] | None:
             end = line.start()
             break
     items = [text[a:b] for a, b in zip(starts, starts[1:] + [end])]
-    skeleton = text[:starts[0]] + (" " * column + "- {}\n") * len(items) + text[end:]
+    skeleton = text[:starts[0]] + " " * column + "- {}\n" + text[end:]
     return column, items, skeleton, text.count("\n", 0, starts[0])
 
 
 def _parse_by_item(
-    text: str, directives: frozenset[str], memo: dict[str, AnsibleTask | None]
+    text: str,
+    directives: frozenset[str],
+    memo: dict[str, AnsibleTask | None],
+    skeletons: dict[tuple[str, int, int], bool],
 ) -> list[AnsibleTask] | None:
     """The tasks of ``text`` from memoized items, or None when the whole document must be parsed."""
     cut = _cut_task_list(text)
@@ -290,9 +346,11 @@ def _parse_by_item(
         if task is None:
             return None
         tasks.append(task)
-    if not _skeleton_holds(skeleton, column, first_line, len(items)):
-        return None
-    return tasks
+    key = (skeleton, column, first_line)
+    holds = skeletons.get(key)
+    if holds is None:
+        holds = skeletons[key] = _skeleton_holds(*key)
+    return tasks if holds else None
 
 
 def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
@@ -309,15 +367,16 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
         node = root.value[0]
         if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
             return None
-        return _task_from_node(node, loader, item.splitlines(), directives)
+        # The cut hands out no text that defines an anchor.
+        return _task_from_node(node, loader, item.splitlines(), directives, False)
     except TaskParseError:
         return None
     finally:
         loader.dispose()
 
 
-def _skeleton_holds(skeleton: str, column: int, first_line: int, count: int) -> bool:
-    """Whether the skeleton's task nodes are exactly its placeholders."""
+def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
+    """Whether the skeleton's only task node is its placeholder."""
     loader = _Loader(skeleton)
     try:
         nodes = _collect_task_nodes(_compose(loader))
@@ -325,12 +384,12 @@ def _skeleton_holds(skeleton: str, column: int, first_line: int, count: int) -> 
         return False
     finally:
         loader.dispose()
-    return len(nodes) == count and all(
-        isinstance(node, yaml.MappingNode)
-        and not node.value
-        and node.start_mark.line == first_line + i
-        and node.start_mark.column == column + 2
-        for i, node in enumerate(nodes)
+    return (
+        len(nodes) == 1
+        and isinstance(nodes[0], yaml.MappingNode)
+        and not nodes[0].value
+        and nodes[0].start_mark.line == first_line
+        and nodes[0].start_mark.column == column + 2
     )
 
 
@@ -397,7 +456,9 @@ def _dedent_task_lines(lines: list[str], indent: int) -> list[str]:
     return out
 
 
-def _task_from_node(node, loader, text_lines: list[str], directives: frozenset[str]) -> AnsibleTask:
+def _task_from_node(
+    node, loader, text_lines: list[str], directives: frozenset[str], anchored: bool
+) -> AnsibleTask:
     if not isinstance(node, yaml.MappingNode):
         raise NotATaskShape("task entry is not a mapping")
 
@@ -420,7 +481,7 @@ def _task_from_node(node, loader, text_lines: list[str], directives: frozenset[s
             raise NotATaskShape("task keys must be strings")
 
         if key == "name":
-            value = _construct(loader, value_node)
+            value = _construct(loader, value_node, anchored)
             name = "" if value is None else str(value)
             lo = key_node.start_mark.line - start
             _, hi_end = _node_line_span(value_node, text_lines)
@@ -428,12 +489,12 @@ def _task_from_node(node, loader, text_lines: list[str], directives: frozenset[s
             continue
         if key in directives:
             stored = "tags" if key == "tag" else key
-            directive_map[stored] = _construct(loader, value_node)
+            directive_map[stored] = _construct(loader, value_node, anchored)
             continue
         if module is not None:
             raise NotATaskShape(f"second module key {key!r} next to {module}")
         module = parse_module_name(key)
-        body = _construct(loader, value_node)
+        body = _construct(loader, value_node, anchored)
         if body is None:
             options = {}
         elif isinstance(body, dict):

@@ -2,7 +2,10 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tasklens import edits
 from tasklens.config import Config
 from tasklens.edits import (
     Category,
@@ -18,7 +21,8 @@ from tasklens.edits import (
     pair_outcomes,
 )
 from tasklens.events import UserAction, build_timelines, parse_event_line
-from tasklens.taskparse import NotATaskShape, parse_tasks
+from tasklens.gestalt import similarity_ratio
+from tasklens.taskparse import AnsibleTask, NotATaskShape, parse_tasks
 
 UTC = timezone.utc
 
@@ -157,6 +161,32 @@ class TestNameFromPrompt:
         assert name_from_prompt(prompt) == expected
 
 
+def match_task(lines, name=None):
+    return AnsibleTask(name, None, {}, {}, tuple(lines))
+
+
+def match_tasks(names):
+    lines = st.lists(st.sampled_from(["a", "b", "c  ", "- d: 1", ""]), max_size=6)
+    return st.builds(match_task, lines, names)
+
+
+def unpruned_match(shown, doc_tasks, rename_match_floor):
+    """match_committed_task without the bound: every candidate is compared."""
+    if shown.name is not None:
+        for task in doc_tasks:
+            if task.name == shown.name:
+                return task
+    shown_lines = [line.rstrip() for line in shown.raw_lines]
+    best, best_ratio = None, 0.0
+    for task in doc_tasks:
+        ratio = similarity_ratio(shown_lines, [line.rstrip() for line in task.raw_lines]).value
+        if ratio > best_ratio:
+            best, best_ratio = task, ratio
+    if best is not None and best_ratio >= rename_match_floor:
+        return best
+    return None
+
+
 class TestMatchCommittedTask:
     def test_name_match_wins(self):
         shown = parse_tasks(SHOWN)[0].with_name("deploy app config")
@@ -181,6 +211,30 @@ class TestMatchCommittedTask:
     def test_empty_document_is_no_match(self):
         shown = parse_tasks(SHOWN)[0]
         assert match_committed_task(shown, ()) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shown=match_tasks(st.sampled_from([None, None, None, "n1"])),
+        doc=st.lists(match_tasks(st.sampled_from([None, "n1", "n2"])), max_size=8),
+        floor=st.sampled_from([0.0, 0.3, 0.3, 0.5, 1.0]),
+    )
+    def test_pruned_scan_equals_full_scan(self, shown, doc, floor):
+        # Lines from a five-line alphabet make equal ratios common; the
+        # first candidate with the best ratio must win, by identity.
+        assert match_committed_task(shown, doc, floor) is unpruned_match(shown, doc, floor)
+
+    def test_candidates_that_cannot_beat_the_best_are_not_compared(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(b)
+            return similarity_ratio(a, b)
+
+        monkeypatch.setattr(edits, "similarity_ratio", counting)
+        shown = match_task(["a", "b", "c"])
+        doc = [match_task(["x", "y"]), match_task(["a", "b", "c "]), match_task(["a", "b", "x"])]
+        assert match_committed_task(shown, doc) is doc[1]
+        assert calls == [["a", "b", "c"]]
 
 
 def _replace_line(text, index, replacement):

@@ -350,6 +350,19 @@ class TestDeduplicate:
         kept = deduplicate(events)
         assert [e.payload.document_text for e in kept] == ["b", "a", "x"]
 
+    def test_equal_content_keys_of_two_kinds_both_kept(self):
+        # A content event's key (suggestion id, document) equals an action's
+        # (suggestion id, action) when the document reads "accepted".
+        base = {"user_id": "u1", "ts": "2023-06-01T10:00:00+00:00", "suggestion_id": "s1"}
+        action = parse_event_line(
+            json.dumps({**base, "event_id": "e1", "type": "action", "action": "accepted"})
+        )
+        content = parse_event_line(
+            json.dumps({**base, "event_id": "e2", "type": "content", "document": "accepted"})
+        )
+        assert action.payload.content_key() == content.payload.content_key()
+        assert deduplicate([action, content]) == [action, content]
+
     def _random_soup(self, seed):
         """400 events over 3 minutes, each written in one of several offsets."""
         rng = random.Random(seed)

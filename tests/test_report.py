@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -244,6 +245,39 @@ class TestCli:
         assert main(["analyze", "--events", str(log)]) == 0
         csv_dir = tmp_path / "csv"
         assert main(["report", "--events", str(log), "--format", "csv", "--out", str(csv_dir)]) == 0
+
+    def test_alias_doubling_chain_is_unparseable_not_slow(self, tmp_path, capsys):
+        chain = ", ".join(
+            ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, 21)]
+        )
+        hostile = f"- name: chain\n  copy:\n    src: [{chain}]\n"
+        plain = "- name: plain\n  copy:\n    src: a\n"
+        rows = [
+            ("2023-06-01T09:00:00Z", "completion", {"suggestion_id": "w", "prompt": "w", "context": ""}),
+            # the chain in the suggestion, and a minor edit of it committed
+            ("2023-06-02T09:00:00Z", "suggestion",
+             {"suggestion_id": "s1", "text": hostile, "lines": 3, "tokens": 9}),
+            ("2023-06-02T09:00:01Z", "action", {"suggestion_id": "s1", "action": "accepted"}),
+            ("2023-06-02T09:00:02Z", "content", {"document": hostile + "    mode: '0644'\n"}),
+            # a plain suggestion committed into a document holding the chain
+            ("2023-06-02T09:01:00Z", "suggestion",
+             {"suggestion_id": "s2", "text": plain, "lines": 3, "tokens": 9}),
+            ("2023-06-02T09:01:01Z", "action", {"suggestion_id": "s2", "action": "accepted"}),
+            ("2023-06-02T09:01:02Z", "content", {"document": hostile + plain}),
+        ]
+        log = tmp_path / "chain.jsonl"
+        log.write_text(
+            "".join(
+                json.dumps({"event_id": f"e{i}", "user_id": "u1", "ts": ts, "type": kind, **fields}) + "\n"
+                for i, (ts, kind, fields) in enumerate(rows)
+            )
+        )
+        started = time.perf_counter()
+        assert main(["report", "--events", str(log), "--format", "json"]) == 0
+        assert time.perf_counter() - started < 1.0
+        quality = json.loads(capsys.readouterr().out)["data_quality"]
+        assert quality["unparseable_suggestions"] == 1
+        assert quality["unparseable_documents"] == 1
 
     def test_empty_log_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -215,6 +215,12 @@ class TestLineSpan:
         assert task.raw_lines == ("{name: one, debug: {msg: a}}",)
 
 
+def alias_chain(levels):
+    """A flow list whose level i holds level i - 1 twice, through aliases."""
+    chain = ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, levels)]
+    return "[" + ", ".join(chain) + "]"
+
+
 class TestUnconstructableValues:
     @pytest.mark.parametrize(
         "value",
@@ -223,8 +229,23 @@ class TestUnconstructableValues:
             "!!python/name:os.system",  # no constructor for the tag
             "!!int nope",  # ValueError from int()
             "[" * 2000 + "]" * 2000,  # construction recurses per level
+            alias_chain(21),  # 21 aliased levels expand to about 2**22 nodes
         ],
     )
     def test_bad_value_is_a_task_parse_error(self, value):
         with pytest.raises(BadYamlValue):
             parse_tasks(f"- name: t\n  copy:\n    src: {value}\n")
+
+    def test_aliases_below_the_cap_are_built(self):
+        (task,) = parse_tasks(
+            "- name: t\n  copy:\n    a: &d {mode: '0644'}\n    b: *d\n"
+            f"    c: {alias_chain(10)}\n"
+        )
+        assert task.options["b"] == {"mode": "0644"}
+        assert len(canonical_options(task)["c"][-1]) == 2
+
+    def test_large_value_without_aliases_is_built(self):
+        # "&" makes the text one that may define anchors, so the size walk runs.
+        big = "[" + ", ".join(["x"] * 20_000) + "]"
+        (task,) = parse_tasks(f"- name: rock & roll\n  copy:\n    src: {big}\n")
+        assert len(task.options["src"]) == 20_000

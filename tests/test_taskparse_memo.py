@@ -5,13 +5,24 @@ top-level lists, comments and blank lines between items, quoted, multi-line
 and nested-block tasks, trailing play keys) with what it must hand to the
 whole-document parse (anchors and aliases, items with a ``tasks`` key, broken
 items, tabs, directives).  Each playbook is also parsed as a growing series of
-snapshots through one memo, the way TaskCache sees a user's edits.
+snapshots through one memo, the way TaskCache sees a user's edits.  The same
+playbooks check that a skeleton with one placeholder gets the verdict that
+one placeholder per item would.
 """
 
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tasklens.taskparse import parse_tasks
+from tasklens.taskparse import (
+    TaskParseError,
+    _collect_task_nodes,
+    _compose,
+    _cut_task_list,
+    _Loader,
+    _skeleton_holds,
+    parse_tasks,
+)
 
 WORDS = st.sampled_from(["alpha", "nginx", "db-01", "yes", "0644", "3.5", "null", "x y"])
 MODULES = st.sampled_from(
@@ -149,6 +160,43 @@ def test_memo_matches_whole_document_parse(playbook):
         assert _outcome(text, memo) == _outcome(text)
 
 
+def _placeholders_hold(skeleton, column, first_line, count):
+    """The skeleton check with ``count`` placeholders, one per item: the task
+    nodes are exactly the placeholders, on consecutive lines."""
+    lines = skeleton.split("\n")
+    assert lines[first_line] == " " * column + "- {}"
+    lines[first_line:first_line + 1] = [lines[first_line]] * count
+    loader = _Loader("\n".join(lines))
+    try:
+        nodes = _collect_task_nodes(_compose(loader))
+    except TaskParseError:
+        return False
+    finally:
+        loader.dispose()
+    return len(nodes) == count and all(
+        isinstance(node, yaml.MappingNode)
+        and not node.value
+        and node.start_mark.line == first_line + i
+        and node.start_mark.column == column + 2
+        for i, node in enumerate(nodes)
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(playbooks())
+def test_one_placeholder_verdict_equals_one_per_item(playbook):
+    head, items, tail, ending = playbook
+    for count in range(1, len(items) + 1):
+        text = "\n".join(head + [line for item in items[:count] for line in item] + tail) + ending
+        cut = _cut_task_list(text)
+        if cut is None:
+            continue
+        column, cut_items, skeleton, first_line = cut
+        verdict = _skeleton_holds(skeleton, column, first_line)
+        for placeholders in {len(cut_items), 3}:
+            assert _placeholders_hold(skeleton, column, first_line, placeholders) == verdict
+
+
 def test_memo_reuses_items_across_snapshots():
     task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
     head = "- hosts: all\n  tasks:\n"
@@ -158,6 +206,16 @@ def test_memo_reuses_items_across_snapshots():
     assert grown[:2] == small
     assert grown[0] is small[0] and grown[1] is small[1]
     assert len(memo) == 3
+
+
+def test_snapshots_share_one_skeleton_verdict():
+    task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
+    head, tail = "- hosts: all\n  tasks:\n", "  handlers: []\n"
+    memo, skeletons = {}, {}
+    for count in (1, 2, 5):
+        text = head + "".join(task.format(i) for i in range(count)) + tail
+        assert parse_tasks(text, None, memo, skeletons) == parse_tasks(text)
+    assert skeletons == {(head + "    - {}\n" + tail, 4, 2): True}
 
 
 def test_anchor_shared_across_items_falls_back():
