@@ -6,6 +6,7 @@ means "all defaults", so a bare `tasklens analyze` needs no setup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -86,6 +87,12 @@ def load_config(path: str | Path | None) -> Config:
             value = raw[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise BadConfig(key, "must be a number")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise BadConfig(key, "must be a finite number")
             if kind is int and int(value) != value:
                 raise BadConfig(key, "must be an integer")
             kwargs[key] = kind(value)

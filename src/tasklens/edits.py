@@ -16,6 +16,7 @@ from enum import Enum
 
 from .config import Config
 from .events import EventKind, RawEvent, UserAction, UserTimeline
+from .gestalt import MatchBudgetExceeded
 from .gestalt import edit_fraction as gestalt_edit_fraction
 from .gestalt import similarity_ratio
 from .taskparse import (
@@ -278,17 +279,21 @@ def classify_outcome(
         return outcome
 
     shown = outcome.shown_task
-    committed = match_committed_task(shown, doc_tasks, config.rename_match_floor)
-    if committed is None:
-        outcome.category = Category.DELETED_AFTER_ACCEPT
+    try:
+        committed = match_committed_task(shown, doc_tasks, config.rename_match_floor)
+        if committed is None:
+            outcome.category = Category.DELETED_AFTER_ACCEPT
+            return outcome
+        shown_body = shown.body_lines()
+        committed_body = committed.body_lines()
+        fraction = (
+            0.0 if shown_body == committed_body
+            else gestalt_edit_fraction(shown_body, committed_body)
+        )
+    except MatchBudgetExceeded:
+        # A pair too large to compare within the budget has no edit fraction.
+        outcome.category = Category.UNRESOLVED
         return outcome
-
-    shown_body = shown.body_lines()
-    committed_body = committed.body_lines()
-    fraction = (
-        0.0 if shown_body == committed_body
-        else gestalt_edit_fraction(shown_body, committed_body)
-    )
     shown_short = short_name(shown.module) if shown.module else None
     committed_short = short_name(committed.module) if committed.module else None
     module_changed = shown_short != committed_short

@@ -288,7 +288,10 @@ def parse_event_line(line: str) -> RawEvent:
         type_name = obj["type"]
     except KeyError:
         raise MissingField("type") from None
-    kind = _KIND_BY_NAME.get(type_name)
+    try:
+        kind = _KIND_BY_NAME.get(type_name)
+    except TypeError:  # an unhashable JSON value: a list or an object
+        kind = None
     if kind is None:
         raise UnknownKind(f"unknown event type: {type_name!r}")
 

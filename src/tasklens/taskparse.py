@@ -160,7 +160,12 @@ def canonical(value: Any) -> Any:
     differences (the string "0644" vs the int 420) do not.
     """
     if isinstance(value, dict):
-        return tuple(sorted((str(k), canonical(v)) for k, v in value.items()))
+        # Keys such as 1 and "1" read alike; their values then decide the
+        # order, by repr, because values of different types do not compare.
+        return tuple(sorted(
+            ((str(k), canonical(v)) for k, v in value.items()),
+            key=lambda entry: (entry[0], repr(entry[1])),
+        ))
     if isinstance(value, (list, tuple)):
         return tuple(canonical(v) for v in value)
     if isinstance(value, float) and value.is_integer():
@@ -200,7 +205,9 @@ def parse_tasks(
         tasks = _parse_by_item(text, directives, memo, {} if skeletons is None else skeletons)
         if tasks is not None:
             return tasks
-    loader = _Loader(text)
+    # libyaml accepts some tabs that the pure-Python loader refuses; one
+    # loader for such texts keeps their verdict the same on every install.
+    loader = (yaml.SafeLoader if "\t" in text else _Loader)(text)
     try:
         root = _compose(loader)
         if root is None or (

@@ -1,5 +1,6 @@
 import pytest
 
+from tasklens.cli import main
 from tasklens.config import BadConfig, Config, load_config
 from tasklens.taskparse import DEFAULT_DIRECTIVE_KEYS
 
@@ -73,3 +74,21 @@ class TestValidation:
             Config(minor_major_threshold=1.0)
         with pytest.raises(BadConfig):
             Config(retention_horizon=0)
+
+    @pytest.mark.parametrize(
+        "key", ["dedup_window_seconds", "minor_major_threshold", "rename_match_floor", "retention_horizon"]
+    )
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan", "1.0e+400", "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, tmp_path, key, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(BadConfig, match=key):
+            load_config(path)
+
+    def test_non_finite_number_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("dedup_window_seconds: .nan\n")
+        log = tmp_path / "log.jsonl"
+        log.write_text("")
+        assert main(["analyze", "--events", str(log), "--config", str(path)]) == 2
+        assert "dedup_window_seconds" in capsys.readouterr().err

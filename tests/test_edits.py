@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasklens import edits
+from tasklens import edits, gestalt
 from tasklens.config import Config
 from tasklens.edits import (
     Category,
@@ -342,6 +342,16 @@ class TestClassifyOutcome:
         outcome = classify(SHOWN, doc)
         assert outcome.category is Category.UNRESOLVED
         assert outcome.doc_unparseable
+
+    @pytest.mark.parametrize("name", ["deploy app config", "renamed"])
+    def test_pair_past_the_matching_budget_is_unresolved(self, monkeypatch, name):
+        # by name the edit fraction is refused, renamed the similarity scan is
+        monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 10)
+        doc = doc_with(name, _replace_line(SHOWN, 2, "  dest: /etc/app-v2.conf"))
+        outcome = classify(SHOWN, doc)
+        assert outcome.category is Category.UNRESOLVED
+        assert outcome.edit_fraction is None
+        assert not outcome.doc_unparseable
 
 
 def options_task(module, options):

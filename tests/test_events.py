@@ -4,11 +4,14 @@ import random
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasklens.events import (
     BadFieldValue,
     BadTimestamp,
     EventKind,
+    EventParseError,
     MalformedJson,
     MissingField,
     UnknownKind,
@@ -482,6 +485,42 @@ def test_read_events_skips_and_counts_malformed(tmp_path):
     result = read_events([write_log(tmp_path / "log.jsonl", lines)])
     assert len(result.events) == 2
     assert result.malformed_lines == 2
+
+
+# One valid line of each kind; every field a kind reads, optional ones included.
+VALID_EVENTS = [
+    {"type": "completion", "suggestion_id": "s1", "prompt": "p", "context": ""},
+    {"type": "suggestion", "suggestion_id": "s1", "text": "- debug:\n    msg: hi",
+     "lines": 2, "tokens": 4},
+    {"type": "action", "suggestion_id": "s1", "action": "accepted"},
+    {"type": "content", "document": "- debug: {}\n", "suggestion_id": "s1"},
+    {"type": "feedback", "stars": 4, "comment": "ok", "label": "fast"},
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def lines_with_arbitrary_fields(draw):
+    obj = {"event_id": "e1", "user_id": "u1", "ts": "2023-06-01T09:00:00Z",
+           **draw(st.sampled_from(VALID_EVENTS))}
+    for name in draw(st.sets(st.sampled_from(sorted(obj)), min_size=1)):
+        obj[name] = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines_with_arbitrary_fields())
+def test_any_json_value_in_any_field_is_parsed_or_rejected(line):
+    try:
+        parse_event_line(line)
+    except EventParseError:
+        pass
 
 
 def test_deeply_nested_json_is_malformed():

@@ -1,8 +1,12 @@
 import random
+import sys
+import time
 
 import pytest
 
+from tasklens import gestalt
 from tasklens.gestalt import (
+    MatchBudgetExceeded,
     MatchingBlock,
     edit_fraction,
     find_longest_match,
@@ -74,6 +78,80 @@ class TestMatchingBlocks:
             b = [rng.randrange(4) for _ in range(rng.randrange(13))]
             assert blocks_as_tuples(a, b) == brute_blocks(a, b)
             assert similarity_ratio(a, b).value == brute_ratio(a, b)
+
+
+    def test_matches_brute_force_oracle_on_long_repetitive_inputs(self):
+        rng = random.Random(2024)
+        for _ in range(600):
+            alphabet = rng.randrange(1, 6)
+            a = [rng.randrange(alphabet) for _ in range(rng.randrange(41))]
+            if rng.random() < 0.5:
+                b = [rng.randrange(alphabet) for _ in range(rng.randrange(41))]
+            else:  # an edited copy of a: long blocks, many levels of flanks
+                b = [x if rng.random() < 0.8 else rng.randrange(alphabet) for x in a]
+                b = b[:40]
+            assert blocks_as_tuples(a, b) == brute_blocks(a, b)
+            assert similarity_ratio(a, b).value == brute_ratio(a, b)
+
+
+def alternating_edit(n):
+    shown = [f"line {i}" for i in range(n)]
+    return shown, [line if i % 2 else f"edited {i}" for i, line in enumerate(shown)]
+
+
+def repeated_lines(n):
+    return ["- x"] * n, ["- x" if i % 3 else "- y" for i in range(n)]
+
+
+class TestScale:
+    def test_one_block_per_edit_needs_no_recursion_depth(self):
+        shown, committed = alternating_edit(600)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            ratio = similarity_ratio(shown, committed)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ratio.matched_total == 300
+
+    def test_large_alternating_edit_is_fast(self):
+        shown, committed = alternating_edit(1000)
+        started = time.perf_counter()
+        assert edit_fraction(shown, committed) == pytest.approx(0.5)
+        assert time.perf_counter() - started < 1.0
+
+    def test_pair_past_the_budget_is_refused_fast(self):
+        shown, committed = repeated_lines(2000)
+        started = time.perf_counter()
+        with pytest.raises(MatchBudgetExceeded):
+            similarity_ratio(shown, committed)
+        with pytest.raises(MatchBudgetExceeded):
+            edit_fraction(shown, committed)
+        with pytest.raises(ValueError):
+            matching_blocks(shown, committed)
+        assert time.perf_counter() - started < 1.0
+
+    def test_budget_follows_the_documented_bound(self, monkeypatch):
+        # 4 lines vs 4 lines, 2 equal pairs: (4 + 2) * (min(4, 4, 2) + 1) = 18.
+        a, b = ["x", "p", "q", "r"], ["x", "x", "s", "t"]
+        monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 18)
+        assert similarity_ratio(a, b).matched_total == 1
+        monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 17)
+        with pytest.raises(MatchBudgetExceeded):
+            similarity_ratio(a, b)
+
+    def test_counted_path_equals_the_oracle(self, monkeypatch):
+        # A budget below every cheap bound forces the equal-pair count.
+        monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 200)
+        rng = random.Random(5)
+        for _ in range(300):
+            a = [rng.randrange(8) for _ in range(rng.randrange(13))]
+            b = [rng.randrange(8) for _ in range(rng.randrange(13))]
+            try:
+                got = blocks_as_tuples(a, b)
+            except MatchBudgetExceeded:
+                continue
+            assert got == brute_blocks(a, b)
 
 
 class TestSimilarityRatio:

@@ -2,7 +2,9 @@ import json
 import time
 
 import pytest
+import yaml
 
+from tasklens import taskparse
 from tasklens.cli import main
 from tasklens.config import Config
 from tasklens.report import (
@@ -105,6 +107,12 @@ class TestRunPipeline:
         assert small_report.acceptance.total_suggestions == by_type["suggestion"]
         assert small_report.total_users == len(users)
         assert small_report.feedback.star_histogram == stars
+
+
+def test_report_does_not_depend_on_libyaml(small_log, small_report, monkeypatch):
+    monkeypatch.setattr(taskparse, "_Loader", yaml.SafeLoader)
+    pure = run_pipeline([small_log], Config())
+    assert render_report(pure, "json") == render_report(small_report, "json")
 
 
 class TestScaledDistribution:
@@ -238,10 +246,13 @@ class TestCli:
             + b'{"event_id": "s", "user_id": "u00000", "ts": "2023-06-01T09:00:00Z",'
             b' "type": "suggestion", "suggestion_id": "sx", "text": "- name: x\\udc80",'
             b' "lines": 1, "tokens": 3}\n'
+            # a type that is not a string
+            + b'{"event_id": "t1", "user_id": "u", "ts": "2023-06-01T09:00:00Z", "type": [1]}\n'
+            + b'{"event_id": "t2", "user_id": "u", "ts": "2023-06-01T09:00:00Z", "type": {}}\n'
         )
         assert main(["report", "--events", str(log), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["data_quality"]["malformed_lines"] == 4
+        assert report["data_quality"]["malformed_lines"] == 6
         assert main(["analyze", "--events", str(log)]) == 0
         csv_dir = tmp_path / "csv"
         assert main(["report", "--events", str(log), "--format", "csv", "--out", str(csv_dir)]) == 0
@@ -278,6 +289,68 @@ class TestCli:
         quality = json.loads(capsys.readouterr().out)["data_quality"]
         assert quality["unparseable_suggestions"] == 1
         assert quality["unparseable_documents"] == 1
+
+    @staticmethod
+    def _report_one_edit(tmp_path, capsys, shown, committed):
+        """`report` on one accepted task ``shown``, committed as ``committed``; (report, seconds)."""
+        rows = [
+            ("2023-06-01T09:00:00Z", "completion", {"suggestion_id": "w", "prompt": "w", "context": ""}),
+            ("2023-06-02T09:00:00Z", "suggestion",
+             {"suggestion_id": "s1", "text": shown, "lines": len(shown.splitlines()), "tokens": 9}),
+            ("2023-06-02T09:00:01Z", "action", {"suggestion_id": "s1", "action": "accepted"}),
+            ("2023-06-02T09:00:02Z", "content", {"document": committed}),
+        ]
+        log = tmp_path / "big.jsonl"
+        log.write_text(
+            "".join(
+                json.dumps({"event_id": f"e{i}", "user_id": "u1", "ts": ts, "type": kind, **fields}) + "\n"
+                for i, (ts, kind, fields) in enumerate(rows)
+            )
+        )
+        started = time.perf_counter()
+        assert main(["report", "--events", str(log), "--format", "json"]) == 0
+        elapsed = time.perf_counter() - started
+        return json.loads(capsys.readouterr().out), elapsed
+
+    @staticmethod
+    def _msg_list(items):
+        return "- name: big\n  debug:\n    msg:\n" + "".join(f"      - {x}\n" for x in items)
+
+    def test_large_task_edited_on_every_other_line_is_fast(self, tmp_path, capsys):
+        shown = [f"line {i}" for i in range(1000)]
+        committed = [x if i % 2 else f"edited {i}" for i, x in enumerate(shown)]
+        report, elapsed = self._report_one_edit(
+            tmp_path, capsys, self._msg_list(shown), self._msg_list(committed)
+        )
+        assert elapsed < 2.0
+        # 500 of 1,002 body lines edited: the "debug:" and "msg:" lines match too
+        assert report["acceptance"]["minor_edits"] == 1
+
+    def test_pair_past_the_matching_budget_is_unresolved_not_slow(self, tmp_path, capsys):
+        shown = self._msg_list(["x"] * 2000)
+        committed = self._msg_list(["x" if i % 3 else "y" for i in range(2000)])
+        baseline, _ = self._report_one_edit(tmp_path, capsys, shown, shown)
+        report, elapsed = self._report_one_edit(tmp_path, capsys, shown, committed)
+        assert elapsed < 2.0
+
+        def keys(value):
+            if isinstance(value, dict):
+                return {k: keys(v) for k, v in value.items()}
+            return None
+
+        assert keys(report) == keys(baseline)
+        assert baseline["acceptance"]["fully_accepted"] == 1
+        assert report["acceptance"]["fully_accepted"] == 0
+        assert report["acceptance"]["unresolved"] == baseline["acceptance"]["unresolved"] + 1
+        assert (report["data_quality"]["unresolved_outcomes"]
+                == baseline["data_quality"]["unresolved_outcomes"] + 1)
+
+    def test_option_keys_that_read_alike_do_not_crash(self, tmp_path, capsys):
+        shown = '- name: collide\n  debug:\n    msg: {1: ~, "1": x}\n    var: a\n    verbosity: 1\n'
+        committed = shown.replace("verbosity: 1", "verbosity: 2")
+        report, _ = self._report_one_edit(tmp_path, capsys, shown, committed)
+        assert report["acceptance"]["minor_edits"] == 1
+        assert report["minor_edit_breakdown"]["value_only"]["count"] == 1
 
     def test_empty_log_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

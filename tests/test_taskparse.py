@@ -1,5 +1,7 @@
 import pytest
+import yaml
 
+from tasklens import taskparse
 from tasklens.taskparse import (
     BadModuleKey,
     BadYamlValue,
@@ -176,6 +178,16 @@ class TestTaskParts:
         assert canonical([1, 2]) != canonical([2, 1])
         assert canonical("0644") != canonical(0o644)
 
+    def test_key_texts_that_collide_are_ordered_by_value(self):
+        assert canonical({1: None, "1": "x"}) == canonical({"1": "x", 1: None})
+        assert canonical({1: None, "1": "x"}) == (("1", "x"), ("1", None))
+
+    def test_distinct_key_texts_keep_their_canonical_form(self):
+        value = {"b": [1, {"z": 2.0, "y": None}], 3: "c", "a": {True: "t"}, "B": 0.5}
+        assert canonical(value) == (
+            ("3", "c"), ("B", 0.5), ("a", (("True", "t"),)), ("b", (1, (("y", None), ("z", 2)))),
+        )
+
 
 class TestSerialization:
     def test_every_key_in_exactly_one_bucket(self):
@@ -213,6 +225,19 @@ class TestLineSpan:
     def test_flow_task_keeps_its_own_line(self):
         (task,) = parse_tasks("- hosts: all\n  tasks:\n    - {name: one, debug: {msg: a}}\n  vars: {}\n")
         assert task.raw_lines == ("{name: one, debug: {msg: a}}",)
+
+
+LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
+
+
+class TestLoaderIndependence:
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", ["- name: a\n  debug:\tmsg\n", "debug: {\tmsg: x}"])
+    @pytest.mark.parametrize("memo", [None, {}])
+    def test_tab_verdict_does_not_depend_on_libyaml(self, monkeypatch, loader, text, memo):
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        with pytest.raises(YamlSyntax):
+            parse_tasks(text, memo=memo)
 
 
 def alias_chain(levels):
