@@ -8,12 +8,8 @@ user-feedback aggregates.
 
 from .config import BadConfig, Config, load_config
 from .events import (
-    RawEvent,
-    UserTimeline,
-    build_timelines,
-    deduplicate,
-    parse_event_line,
-    read_events,
+    ActionEvent, CompletionEvent, ContentEvent, FeedbackEvent, RawEvent, SuggestionEvent,
+    UserTimeline, build_timelines, deduplicate, parse_event_line, read_events,
 )
 from .gestalt import (
     MatchingBlock,
@@ -39,15 +35,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcceptanceSummary",
+    "ActionEvent",
     "AnalysisReport",
     "AnsibleTask",
     "BadConfig",
+    "CompletionEvent",
     "Config",
+    "ContentEvent",
+    "FeedbackEvent",
     "MatchingBlock",
     "ModuleName",
     "RawEvent",
     "RetentionCurve",
     "SimilarityRatio",
+    "SuggestionEvent",
     "TemporalProfile",
     "UserTimeline",
     "acceptance_summary",

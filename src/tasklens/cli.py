@@ -15,8 +15,9 @@ from datetime import date
 from pathlib import Path
 
 from .config import BadConfig, load_config
-from .events import build_timelines, deduplicate, read_events
-from .report import REPORT_FORMATS, UnknownFormat, ZeroEvents, render_report, run_pipeline
+from .report import (
+    REPORT_FORMATS, UnknownFormat, ZeroEvents, ingest_window, render_report, run_pipeline
+)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -67,17 +68,16 @@ def _checked_config(args):
 
 
 def _cmd_ingest(args) -> int:
-    config = _checked_config(args)
-    ingest = read_events(args.events)
-    deduped = deduplicate(ingest.events, config.dedup_window_seconds)
-    timelines = build_timelines(deduped)
+    events, malformed, deduped, timelines = ingest_window(
+        args.events, _checked_config(args), args.window_start, args.window_end
+    )
     print(f"files            {len(args.events)}")
-    print(f"events           {len(ingest.events)}")
-    print(f"malformed lines  {ingest.malformed_lines}")
-    print(f"duplicates       {len(ingest.events) - len(deduped)}")
+    print(f"events           {len(events)}")
+    print(f"malformed lines  {malformed}")
+    print(f"duplicates       {len(events) - len(deduped)}")
     print(f"users            {len(timelines)}")
-    if not ingest.events:
-        print("error: no parseable events", file=sys.stderr)
+    if not events:
+        print("error: no parseable events in the analysis window", file=sys.stderr)
         return DATA_ERROR
     return 0
 
@@ -98,11 +98,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args, parser) -> int:
-    report = _run(args)
-    files = render_report(report, args.format)
+    if args.out is None and args.format == "csv":
+        parser.error("--format csv requires --out DIR")
+    files = render_report(_run(args), args.format)
     if args.out is None:
-        if args.format == "csv":
-            parser.error("--format csv requires --out DIR")
         sys.stdout.write(next(iter(files.values())).decode("utf-8"))
         return 0
     out_dir = Path(args.out)

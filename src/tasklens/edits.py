@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import Config
-from .events import EventKind, RawEvent, UserAction, UserTimeline
+from .events import (
+    ActionEvent, CompletionEvent, ContentEvent, SuggestionEvent, UserAction, UserTimeline
+)
 from .gestalt import MatchBudgetExceeded
 from .gestalt import edit_fraction as gestalt_edit_fraction
 from .gestalt import similarity_ratio
@@ -164,19 +166,20 @@ def pair_outcomes(
 
     prompts: dict[str, str] = {}
     actions: dict[str, tuple[UserAction, int]] = {}  # sid -> (action, event index)
-    contents: list[tuple[int, RawEvent]] = []
-    suggestions: list[tuple[int, RawEvent]] = []
+    contents: list[tuple[int, ContentEvent]] = []
+    suggestions: list[tuple[int, SuggestionEvent]] = []
     suggestion_ids: set[str] = set()
 
     for idx, event in enumerate(timeline.events):
-        if event.kind is EventKind.SUGGESTION:
+        cls = type(event)
+        if cls is SuggestionEvent:
             suggestions.append((idx, event))
-            suggestion_ids.add(event.payload.suggestion_id)
-        elif event.kind is EventKind.COMPLETION:
-            prompts.setdefault(event.payload.suggestion_id, event.payload.prompt)
-        elif event.kind is EventKind.ACTION:
-            actions.setdefault(event.payload.suggestion_id, (event.payload.action, idx))
-        elif event.kind is EventKind.CONTENT:
+            suggestion_ids.add(event.suggestion_id)
+        elif cls is CompletionEvent:
+            prompts.setdefault(event.suggestion_id, event.prompt)
+        elif cls is ActionEvent:
+            actions.setdefault(event.suggestion_id, (event.action, idx))
+        elif cls is ContentEvent:
             contents.append((idx, event))
 
     orphan_actions = sum(1 for sid in actions if sid not in suggestion_ids)
@@ -185,32 +188,31 @@ def pair_outcomes(
     outcomes: list[SuggestionOutcome] = []
     unparseable = 0
     for sugg_idx, event in suggestions:
-        payload = event.payload
-        prompt = prompts.get(payload.suggestion_id)
+        prompt = prompts.get(event.suggestion_id)
         prompt_name = name_from_prompt(prompt) if prompt is not None else None
         try:
-            shown = cache.shown_task(payload.suggestion_text, prompt_name)
+            shown = cache.shown_task(event.suggestion_text, prompt_name)
         except TaskParseError:
             unparseable += 1
             continue
 
-        action_entry = actions.get(payload.suggestion_id)
+        action_entry = actions.get(event.suggestion_id)
         decision = action_entry[0] if action_entry else UserAction.IGNORED
         committed_doc = None
         if decision is UserAction.ACCEPTED:
             after = action_entry[1] if action_entry else sugg_idx
             pos = bisect_left(content_indices, after)
             if pos < len(contents):
-                committed_doc = contents[pos][1].payload.document_text
+                committed_doc = contents[pos][1].document_text
 
         outcomes.append(
             SuggestionOutcome(
-                suggestion_id=payload.suggestion_id,
+                suggestion_id=event.suggestion_id,
                 user_id=timeline.user_id,
                 shown_task=shown,
                 decision=decision,
-                suggestion_lines=payload.line_count,
-                suggestion_tokens=payload.token_count,
+                suggestion_lines=event.line_count,
+                suggestion_tokens=event.token_count,
                 committed_doc=committed_doc,
             )
         )

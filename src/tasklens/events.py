@@ -16,7 +16,7 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from functools import lru_cache
@@ -25,14 +25,6 @@ from pathlib import Path
 from typing import Iterable
 
 DEDUP_WINDOW_SECONDS = 10.0
-
-
-class EventKind(Enum):
-    COMPLETION = "completion"
-    SUGGESTION = "suggestion"
-    ACTION = "action"
-    CONTENT = "content"
-    FEEDBACK = "feedback"
 
 
 class UserAction(Enum):
@@ -68,73 +60,62 @@ class BadFieldValue(EventParseError):
 
 
 # Event records are slotted but not frozen: a frozen dataclass's __init__ sets
-# every field through object.__setattr__, which makes building the two records
-# per line cost about as much as decoding the line.  Nothing mutates an event
-# after parse_event_line returns it.
+# every field through object.__setattr__, which makes building one record per
+# line cost about as much as decoding the line.  Nothing mutates an event after
+# parse_event_line returns it.
 
 
 @dataclass(slots=True)
-class CompletionPayload:
+class RawEvent:
+    """The fields every event has.  An event's class is its kind."""
+
+    event_id: str
+    user_id: str
+    instant: float  # epoch seconds
+    day: date  # calendar date in the event's own UTC offset (user-local)
+
+
+@dataclass(slots=True)
+class CompletionEvent(RawEvent):
     suggestion_id: str
     prompt: str
     context: str
 
-    def content_key(self):
-        return (self.suggestion_id, self.prompt, self.context)
-
 
 @dataclass(slots=True)
-class SuggestionPayload:
+class SuggestionEvent(RawEvent):
     suggestion_id: str
     suggestion_text: str
     line_count: int
     token_count: int
 
-    def content_key(self):
-        return (self.suggestion_id, self.suggestion_text, self.line_count, self.token_count)
-
 
 @dataclass(slots=True)
-class ActionPayload:
+class ActionEvent(RawEvent):
     suggestion_id: str
     action: UserAction
 
-    def content_key(self):
-        return (self.suggestion_id, self.action.value)
-
 
 @dataclass(slots=True)
-class ContentPayload:
+class ContentEvent(RawEvent):
     document_text: str
     suggestion_id: str | None = None
 
-    def content_key(self):
-        return (self.suggestion_id, self.document_text)
-
 
 @dataclass(slots=True)
-class FeedbackPayload:
+class FeedbackEvent(RawEvent):
     stars: int
     comment: str
     sentiment_label: str | None = None
 
-    def content_key(self):
-        return (self.stars, self.comment, self.sentiment_label)
 
-
-Payload = (
-    CompletionPayload | SuggestionPayload | ActionPayload | ContentPayload | FeedbackPayload
-)
-
-
-@dataclass(slots=True)
-class RawEvent:
-    event_id: str
-    user_id: str
-    kind: EventKind
-    instant: float  # epoch seconds
-    day: date  # calendar date in the event's own UTC offset (user-local)
-    payload: Payload
+_CLASS_BY_TYPE = {
+    "completion": CompletionEvent,
+    "suggestion": SuggestionEvent,
+    "action": ActionEvent,
+    "content": ContentEvent,
+    "feedback": FeedbackEvent,
+}
 
 
 _MISSING = object()
@@ -223,7 +204,6 @@ def _parse_timestamp(obj: dict) -> tuple[float, date]:
     return _parse_stamp(raw)
 
 
-_KIND_BY_NAME = {kind.value: kind for kind in EventKind}
 _ACTION_BY_NAME = {action.value: action for action in UserAction}
 
 
@@ -289,20 +269,18 @@ def parse_event_line(line: str) -> RawEvent:
     except KeyError:
         raise MissingField("type") from None
     try:
-        kind = _KIND_BY_NAME.get(type_name)
+        cls = _CLASS_BY_TYPE.get(type_name)
     except TypeError:  # an unhashable JSON value: a list or an object
-        kind = None
-    if kind is None:
+        cls = None
+    if cls is None:
         raise UnknownKind(f"unknown event type: {type_name!r}")
 
-    payload: Payload
-    if kind is EventKind.COMPLETION:
-        payload = CompletionPayload(
-            _require_str(obj, "suggestion_id"),
-            _require_text(obj, "prompt"),
-            _require_text(obj, "context"),
+    if cls is CompletionEvent:
+        return cls(
+            event_id, user_id, instant, day, _require_str(obj, "suggestion_id"),
+            _require_text(obj, "prompt"), _require_text(obj, "context"),
         )
-    elif kind is EventKind.SUGGESTION:
+    if cls is SuggestionEvent:
         text = _require_text(obj, "text")
         lines = _require_int(obj, "lines", minimum=1)
         tokens = _require_int(obj, "tokens", minimum=1)
@@ -310,29 +288,24 @@ def parse_event_line(line: str) -> RawEvent:
             raise BadFieldValue(
                 f"field 'lines' is {lines} but text has {len(text.splitlines())} lines"
             )
-        payload = SuggestionPayload(_require_str(obj, "suggestion_id"), text, lines, tokens)
-    elif kind is EventKind.ACTION:
+        sid = _require_str(obj, "suggestion_id")
+        return cls(event_id, user_id, instant, day, sid, text, lines, tokens)
+    if cls is ActionEvent:
         action_name = _require_str(obj, "action")
         action = _ACTION_BY_NAME.get(action_name)
         if action is None:
             raise BadFieldValue(f"unknown action: {action_name!r}")
-        payload = ActionPayload(_require_str(obj, "suggestion_id"), action)
-    elif kind is EventKind.CONTENT:
+        return cls(event_id, user_id, instant, day, _require_str(obj, "suggestion_id"), action)
+    if cls is ContentEvent:
         sid = obj.get("suggestion_id")
         if sid is not None and (type(sid) is not str or not sid):
             raise BadFieldValue("field 'suggestion_id' must be a non-empty string when present")
-        payload = ContentPayload(_require_text(obj, "document"), sid)
-    else:
-        label = obj.get("label")
-        if label is not None and type(label) is not str:
-            raise BadFieldValue("field 'label' must be a string when present")
-        payload = FeedbackPayload(
-            _require_int(obj, "stars", minimum=1, maximum=5),
-            _require_text(obj, "comment"),
-            label,
-        )
-
-    return RawEvent(event_id, user_id, kind, instant, day, payload)
+        return cls(event_id, user_id, instant, day, _require_text(obj, "document"), sid)
+    label = obj.get("label")
+    if label is not None and type(label) is not str:
+        raise BadFieldValue("field 'label' must be a string when present")
+    stars = _require_int(obj, "stars", minimum=1, maximum=5)
+    return cls(event_id, user_id, instant, day, stars, _require_text(obj, "comment"), label)
 
 
 @contextmanager
@@ -393,23 +366,31 @@ def _by_user(events: Iterable[RawEvent]) -> list[tuple[str, list[RawEvent]]]:
     return [(user_id, sorted(per_user[user_id], key=_TIME_ORDER)) for user_id in sorted(per_user)]
 
 
+# The fields each class adds to RawEvent, from dataclasses.fields: on Python
+# 3.10 a subclass's __slots__ repeats the base fields, event_id among them.
+_CONTENT = {
+    cls: attrgetter(*(f.name for f in fields(cls)[len(fields(RawEvent)):]))
+    for cls in _CLASS_BY_TYPE.values()
+}
+
+
 def deduplicate(
     events: Iterable[RawEvent], window_seconds: float = DEDUP_WINDOW_SECONDS
 ) -> list[RawEvent]:
-    """Drop repeats of the same (user, kind, payload) within the retry window.
+    """Drop repeats of the same (user, kind, content) within the retry window.
 
-    An event is a duplicate when an already-kept event with the same user,
-    kind and payload content lies at most ``window_seconds`` before it; the
-    earliest of each burst survives.  Output is sorted by
-    (user_id, instant, event_id); ties keep their input order.
+    An event is a duplicate when an already-kept event of the same user and
+    class, with equal values in every field the class adds to RawEvent, lies
+    at most ``window_seconds`` before it; the earliest of each burst survives.
+    Output is sorted by (user_id, instant, event_id); ties keep their input
+    order.
     """
     kept: list[RawEvent] = []
     for _, user_events in _by_user(events):
         last_kept_at: dict[tuple, float] = {}
         for event in user_events:
-            # The payload class stands for the kind: an Enum member hashes in
-            # Python code, a class in C.
-            key = (type(event.payload), event.payload.content_key())
+            cls = type(event)
+            key = (cls, _CONTENT[cls](event))
             previous = last_kept_at.get(key)
             if previous is not None and event.instant - previous <= window_seconds:
                 continue

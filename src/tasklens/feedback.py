@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .events import EventKind, RawEvent
+from .events import FeedbackEvent, RawEvent
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -37,10 +37,6 @@ class FeedbackSummary:
     negative_labels: LabelDistribution
 
 
-def _feedback_events(events: Iterable[RawEvent]) -> list[RawEvent]:
-    return [e for e in events if e.kind is EventKind.FEEDBACK]
-
-
 def label_distribution(events: Iterable[RawEvent], polarity: str) -> LabelDistribution:
     """Share per label over the labeled comments of one polarity.
 
@@ -52,10 +48,10 @@ def label_distribution(events: Iterable[RawEvent], polarity: str) -> LabelDistri
         raise ValueError(f"polarity must be 'positive' or 'negative', got {polarity!r}")
     counts: dict[str, int] = {}
     unlabeled = 0
-    for event in _feedback_events(events):
-        if event.payload.stars not in star_values:
+    for event in events:
+        if type(event) is not FeedbackEvent or event.stars not in star_values:
             continue
-        label = event.payload.sentiment_label
+        label = event.sentiment_label
         if label is None:
             unlabeled += 1
         else:
@@ -75,10 +71,10 @@ def label_distribution(events: Iterable[RawEvent], polarity: str) -> LabelDistri
 def summarize_feedback(events: Iterable[RawEvent]) -> FeedbackSummary:
     """Histogram over 1..5 stars, the satisfied/neutral/dissatisfied split and
     both polarity label distributions."""
-    feedback = _feedback_events(events)
+    feedback = [e for e in events if type(e) is FeedbackEvent]
     histogram = {stars: 0 for stars in range(1, 6)}
     for event in feedback:
-        histogram[event.payload.stars] += 1
+        histogram[event.stars] += 1
     total = len(feedback)
     divisor = total or 1  # no feedback: every count is 0, so every share is 0.0
     return FeedbackSummary(

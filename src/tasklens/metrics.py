@@ -5,10 +5,11 @@ from __future__ import annotations
 import calendar
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import accumulate
 from typing import Iterable
 
 from .edits import Category, SuggestionOutcome
-from .events import EventKind, RawEvent, UserTimeline
+from .events import CompletionEvent, RawEvent, UserTimeline
 
 WEEKDAY_NAMES = tuple(calendar.day_name)  # Monday .. Sunday
 
@@ -142,24 +143,26 @@ def retention_curve(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    first_days = {}
-    actives = {}
+    # Whole-day offsets from each first day: no date is shifted out of range.
+    last_eligible = [0] * (horizon + 1)  # users whose last eligible day is N
+    returned = [0] * (horizon + 1)
     for timeline in timelines:
-        first_days[timeline.user_id] = timeline.first_day
-        actives[timeline.user_id] = timeline.active_days
-    if not first_days or min(first_days.values()) > window_end:
+        last = min((window_end - timeline.first_day).days, horizon)
+        if last >= 0:
+            last_eligible[last] += 1
+        for active in timeline.active_days:
+            offset = (active - timeline.first_day).days
+            if offset <= last:
+                returned[offset] += 1
+    eligible = list(accumulate(reversed(last_eligible)))[::-1]
+    if not eligible[0]:
         raise EmptyWindow("no user cohort starts inside the window")
 
-    points = []
-    for day in range(horizon + 1):
-        cutoff = window_end - timedelta(days=day)
-        eligible = [u for u, first in first_days.items() if first <= cutoff]
-        returned = sum(
-            1 for u in eligible if first_days[u] + timedelta(days=day) in actives[u]
-        )
-        pct = 100.0 * returned / len(eligible) if eligible else 0.0
-        points.append(RetentionPoint(day, len(eligible), returned, pct))
-    return RetentionCurve(window_end=window_end, points=tuple(points))
+    points = tuple(
+        RetentionPoint(day, users, came_back, 100.0 * came_back / users if users else 0.0)
+        for day, (users, came_back) in enumerate(zip(eligible, returned))
+    )
+    return RetentionCurve(window_end=window_end, points=points)
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def temporal_profile(
     """
     daily: dict[date, int] = {}
     for event in events:
-        if event.kind is not EventKind.COMPLETION:
+        if type(event) is not CompletionEvent:
             continue
         daily[event.day] = daily.get(event.day, 0) + 1
 

@@ -1,8 +1,9 @@
 """Pipeline orchestration and report rendering.
 
-run_pipeline ingests JSONL logs, deduplicates, builds timelines, restricts
-edit analysis to the returning-user cohort (users active on 2+ days), and
-aggregates every analysis into one AnalysisReport.  Rendering is strictly
+ingest_window reads JSONL logs, cuts them to the window, deduplicates and builds
+timelines.  run_pipeline then restricts edit analysis to the returning-user
+cohort (users active on 2+ days), and aggregates every analysis into one
+AnalysisReport.  Rendering is strictly
 deterministic: stable key order, percentages at two decimals, raw counts
 always alongside so no precision is lost.
 """
@@ -76,6 +77,24 @@ class AnalysisReport:
     data_quality: DataQuality
 
 
+def ingest_window(
+    event_paths: Iterable[str | Path],
+    config: Config,
+    window_start: date | None = None,
+    window_end: date | None = None,
+) -> tuple[list, int, list, list]:
+    """(events inside the window, malformed lines, deduplicated events, timelines):
+    the front half of run_pipeline and all of the ``ingest`` command.  The three
+    steps resolve in this module, where ``bench/tracer.py`` wraps them."""
+    ingest = read_events(event_paths)
+    events = ingest.events
+    if window_start or window_end:
+        first, last = window_start or date.min, window_end or date.max
+        events = [e for e in events if first <= e.day <= last]
+    deduped = deduplicate(events, config.dedup_window_seconds)
+    return events, ingest.malformed_lines, deduped, build_timelines(deduped)
+
+
 @collector_paused()
 def run_pipeline(
     event_paths: Iterable[str | Path],
@@ -90,20 +109,15 @@ def run_pipeline(
     paused for the call (see ``collector_paused``).
     """
     config = config or Config()
-    ingest = read_events(event_paths)
-    events = ingest.events
-    if window_start or window_end:
-        first, last = window_start or date.min, window_end or date.max
-        events = [e for e in events if first <= e.day <= last]
+    events, malformed, deduped, timelines = ingest_window(
+        event_paths, config, window_start, window_end
+    )
     if not events:
         raise ZeroEvents("no parseable events in the analysis window")
 
     days = {e.day for e in events}
     window = (window_start or min(days), window_end or max(days))
 
-    deduped = deduplicate(events, config.dedup_window_seconds)
-    duplicates_removed = len(events) - len(deduped)
-    timelines = build_timelines(deduped)
     returning = returning_user_cohort(timelines)
 
     cache = TaskCache(config.directive_keys)
@@ -127,8 +141,8 @@ def run_pipeline(
         temporal_dedup=temporal_profile(deduped, window),
         feedback=summarize_feedback(deduped),
         data_quality=DataQuality(
-            malformed_lines=ingest.malformed_lines,
-            duplicates_removed=duplicates_removed,
+            malformed_lines=malformed,
+            duplicates_removed=len(events) - len(deduped),
             orphan_actions=sum(a.orphan_actions for a in analyses),
             unresolved_outcomes=summary.unresolved,
             unparseable_suggestions=sum(a.unparseable_suggestions for a in analyses),

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -8,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasklens.events import (
+    ActionEvent,
     BadFieldValue,
     BadTimestamp,
-    EventKind,
+    CompletionEvent,
+    ContentEvent,
     EventParseError,
+    FeedbackEvent,
     MalformedJson,
     MissingField,
+    RawEvent,
+    SuggestionEvent,
     UnknownKind,
     UserAction,
     UserTimeline,
@@ -83,10 +89,10 @@ RFC3339_CASES = [
 class TestParseEventLine:
     def test_valid_completion_keeps_offset(self):
         event = parse_event_line(completion_line())
-        assert event.kind is EventKind.COMPLETION
+        assert type(event) is CompletionEvent
         assert event.day == date(2023, 6, 1)
         assert event.instant == utc_instant(2023, 6, 1, 7)
-        assert event.payload.suggestion_id == "s1"
+        assert event.suggestion_id == "s1"
 
     def test_unknown_extra_fields_ignored(self):
         event = parse_event_line(completion_line(extra_field="whatever"))
@@ -114,8 +120,8 @@ class TestParseEventLine:
              "type": "feedback", "stars": stars, "comment": "hi", "label": "accuracy"}
         )
         event = parse_event_line(line)
-        assert event.payload.stars == stars
-        assert event.payload.sentiment_label == "accuracy"
+        assert event.stars == stars
+        assert event.sentiment_label == "accuracy"
 
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
@@ -180,9 +186,9 @@ class TestParseEventLine:
 
     def test_surrogate_pair_escape_is_valid(self):
         line = completion_line().replace('"s1"', '"\\ud83d\\ude00\\u00e9"')
-        assert parse_event_line(line).payload.suggestion_id == "\U0001f600\u00e9"
+        assert parse_event_line(line).suggestion_id == "\U0001f600\u00e9"
         line = completion_line().replace('"s1"', '"\\\\udc80"')
-        assert parse_event_line(line).payload.suggestion_id == "\\udc80"
+        assert parse_event_line(line).suggestion_id == "\\udc80"
 
     def test_suggestion_line_count_must_match_text(self):
         obj = {
@@ -193,7 +199,7 @@ class TestParseEventLine:
         with pytest.raises(BadFieldValue):
             parse_event_line(json.dumps(obj))
         obj["lines"] = 2
-        assert parse_event_line(json.dumps(obj)).payload.line_count == 2
+        assert parse_event_line(json.dumps(obj)).line_count == 2
 
     def test_action_values(self):
         for action in ("accepted", "rejected", "ignored"):
@@ -201,7 +207,7 @@ class TestParseEventLine:
                 {"event_id": "e", "user_id": "u", "ts": "2023-06-01T00:00:00+00:00",
                  "type": "action", "suggestion_id": "s", "action": action}
             )
-            assert parse_event_line(line).payload.action is UserAction(action)
+            assert parse_event_line(line).action is UserAction(action)
         line = json.dumps(
             {"event_id": "e", "user_id": "u", "ts": "2023-06-01T00:00:00+00:00",
              "type": "action", "suggestion_id": "s", "action": "maybe"}
@@ -212,7 +218,7 @@ class TestParseEventLine:
     def test_content_document_may_be_empty_but_required(self):
         base = {"event_id": "e", "user_id": "u", "ts": "2023-06-01T00:00:00+00:00",
                 "type": "content"}
-        assert parse_event_line(json.dumps({**base, "document": ""})).payload.document_text == ""
+        assert parse_event_line(json.dumps({**base, "document": ""})).document_text == ""
         with pytest.raises(MissingField):
             parse_event_line(json.dumps(base))
 
@@ -351,11 +357,10 @@ class TestDeduplicate:
             ]
         )
         kept = deduplicate(events)
-        assert [e.payload.document_text for e in kept] == ["b", "a", "x"]
+        assert [e.document_text for e in kept] == ["b", "a", "x"]
 
     def test_equal_content_keys_of_two_kinds_both_kept(self):
-        # A content event's key (suggestion id, document) equals an action's
-        # (suggestion id, action) when the document reads "accepted".
+        # Same user, time, suggestion id and text "accepted"; only the kind differs.
         base = {"user_id": "u1", "ts": "2023-06-01T10:00:00+00:00", "suggestion_id": "s1"}
         action = parse_event_line(
             json.dumps({**base, "event_id": "e1", "type": "action", "action": "accepted"})
@@ -363,7 +368,6 @@ class TestDeduplicate:
         content = parse_event_line(
             json.dumps({**base, "event_id": "e2", "type": "content", "document": "accepted"})
         )
-        assert action.payload.content_key() == content.payload.content_key()
         assert deduplicate([action, content]) == [action, content]
 
     def _random_soup(self, seed):
@@ -384,11 +388,44 @@ class TestDeduplicate:
             )
         return make_events(rows)
 
+    def _random_mixed_soup(self, seed):
+        """400 events of all five kinds over 3 minutes; every field a kind adds
+        is drawn from two or three values, so repeats are common."""
+        rng = random.Random(seed)
+        base = datetime(2023, 6, 1, 10, tzinfo=timezone.utc)
+        offsets = [timezone(timedelta(minutes=m)) for m in (0, 120, -210, 345, -720)]
+        pick = rng.choice
+        kinds = [
+            lambda: {"type": "completion", "suggestion_id": pick("st"),
+                     "prompt": pick("pq"), "context": pick("cd")},
+            lambda: {"type": "suggestion", "suggestion_id": pick("st"),
+                     **pick([{"text": "a", "lines": 1}, {"text": "a\nb", "lines": 2}]),
+                     "tokens": pick((1, 2))},
+            lambda: {"type": "action", "suggestion_id": pick("st"),
+                     "action": pick(("accepted", "rejected", "ignored"))},
+            lambda: {"type": "content", "document": pick(("s", "accepted", "d")),
+                     **pick([{}, {"suggestion_id": "s"}, {"suggestion_id": "t"}])},
+            lambda: {"type": "feedback", "stars": pick((1, 2)), "comment": pick("st"),
+                     **pick([{}, {"label": "s"}])},
+        ]
+        events = []
+        for i in range(400):
+            at = base + timedelta(seconds=rng.randrange(180), microseconds=pick((0, 500_000)))
+            obj = {"event_id": f"e{i}", "user_id": f"u{rng.randrange(3)}",
+                   "ts": at.astimezone(pick(offsets)).isoformat(), **pick(kinds)()}
+            events.append(parse_event_line(json.dumps(obj)))
+        return events
+
     @staticmethod
-    def _oracle(events, window_seconds=10.0):
+    def _content(event):
+        """The values of the fields the event's class adds to RawEvent."""
+        return tuple(getattr(event, f.name) for f in fields(event)[len(fields(RawEvent)):])
+
+    @classmethod
+    def _oracle(cls, events, window_seconds=10.0):
         """deduplicate's docstring, brute force: visit in (user, instant,
         event_id, input) order and keep an event unless a kept event with the
-        same user, kind and payload lies at most the window before it."""
+        same user, class and added field values lies at most the window before it."""
         order = sorted(
             range(len(events)),
             key=lambda i: (events[i].user_id, events[i].instant, events[i].event_id, i),
@@ -398,8 +435,8 @@ class TestDeduplicate:
             event = events[i]
             if not any(
                 k.user_id == event.user_id
-                and k.kind is event.kind
-                and k.payload.content_key() == event.payload.content_key()
+                and type(k) is type(event)
+                and cls._content(k) == cls._content(event)
                 and 0 <= event.instant - k.instant <= window_seconds
                 for k in kept
             ):
@@ -409,8 +446,8 @@ class TestDeduplicate:
     @pytest.mark.parametrize("window", [0.0, 0.5, 10.0, 60.0])
     def test_matches_brute_force_oracle(self, window):
         for seed in range(5):
-            events = self._random_soup(seed)
-            assert deduplicate(events, window) == self._oracle(events, window)
+            for events in (self._random_soup(seed), self._random_mixed_soup(seed)):
+                assert deduplicate(events, window) == self._oracle(events, window)
 
     def test_timelines_keep_dedup_order(self):
         for seed in range(5):
@@ -429,7 +466,7 @@ class TestDeduplicate:
             events = self._random_soup(seed)
             firsts = {}
             for event in sorted(events, key=lambda e: (e.user_id, e.instant, e.event_id)):
-                key = (event.user_id, event.kind, event.payload.content_key())
+                key = (event.user_id, type(event), self._content(event))
                 firsts.setdefault(key, event.event_id)
             kept_ids = {e.event_id for e in deduplicate(events)}
             assert set(firsts.values()) <= kept_ids
@@ -497,6 +534,19 @@ VALID_EVENTS = [
     {"type": "feedback", "stars": 4, "comment": "ok", "label": "fast"},
 ]
 
+
+@pytest.mark.parametrize(
+    "fields_of_kind,cls",
+    zip(VALID_EVENTS, [CompletionEvent, SuggestionEvent, ActionEvent, ContentEvent, FeedbackEvent]),
+    ids=[obj["type"] for obj in VALID_EVENTS],
+)
+def test_each_type_is_one_record_of_its_class(fields_of_kind, cls):
+    line = {"event_id": "e1", "user_id": "u1", "ts": "2023-06-01T09:00:00Z", **fields_of_kind}
+    event = parse_event_line(json.dumps(line))
+    assert type(event) is cls
+    assert (event.event_id, event.user_id, event.day) == ("e1", "u1", date(2023, 6, 1))
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children, max_size=3)
@@ -544,7 +594,7 @@ def test_read_events_counts_invalid_utf8_lines_as_malformed(tmp_path):
     path.write_bytes(b"\n".join(raw) + b"\n")
     result = read_events([path])
     assert [e.event_id for e in result.events] == ["e1", "e2"]
-    assert result.events[1].payload.prompt == "- name: caf\u00e9"
+    assert result.events[1].prompt == "- name: caf\u00e9"
     assert result.malformed_lines == 2
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from datetime import date, timedelta
 
 import pytest
@@ -8,6 +9,7 @@ from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.metrics import (
     EmptyWindow,
     NegativeNumerator,
+    RetentionPoint,
     _strong_rate,
     acceptance_summary,
     retention_curve,
@@ -214,6 +216,49 @@ class TestRetentionCurve:
         timelines = timelines_from_days({"a": [date(2023, 6, 1)]})
         with pytest.raises(ValueError):
             retention_curve(timelines, 0, date(2023, 6, 30))
+
+    @staticmethod
+    def _per_day_oracle(timelines, horizon, window_end):
+        """The curve counted one calendar day at a time: for each N, every
+        user whose first day is on or before window_end - N is eligible and
+        returned if first day + N is active."""
+        first_days = {t.user_id: t.first_day for t in timelines}
+        actives = {t.user_id: t.active_days for t in timelines}
+        points = []
+        for day in range(horizon + 1):
+            cutoff = window_end - timedelta(days=day)
+            eligible = [u for u, first in first_days.items() if first <= cutoff]
+            returned = sum(
+                1 for u in eligible if first_days[u] + timedelta(days=day) in actives[u]
+            )
+            pct = 100.0 * returned / len(eligible) if eligible else 0.0
+            points.append(RetentionPoint(day, len(eligible), returned, pct))
+        return tuple(points)
+
+    def test_matches_per_day_oracle_on_random_timelines(self):
+        rng = random.Random(3)
+        start = date(2023, 6, 1)
+        for _ in range(200):
+            users = {
+                f"u{i}": [start + timedelta(days=rng.randrange(40))
+                          for _ in range(rng.randrange(1, 8))]
+                for i in range(rng.randrange(1, 12))
+            }
+            timelines = timelines_from_days(users)
+            # Often before the last active days, sometimes before a first day.
+            window_end = start + timedelta(days=rng.randrange(5, 45))
+            if min(t.first_day for t in timelines) > window_end:
+                continue
+            horizon = rng.randrange(1, 50)
+            curve = retention_curve(timelines, horizon, window_end)
+            assert curve.points == self._per_day_oracle(timelines, horizon, window_end)
+
+    def test_horizon_past_the_first_representable_date(self):
+        timelines = timelines_from_days({"a": [date(1, 1, 1), date(1, 1, 3)]})
+        curve = retention_curve(timelines, 5, date(1, 1, 4))
+        assert [(p.eligible_users, p.returned_users) for p in curve.points] == [
+            (1, 1), (1, 0), (1, 1), (1, 0), (0, 0), (0, 0)
+        ]
 
 
 def completion_events(day_counts):

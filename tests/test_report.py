@@ -203,6 +203,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "events" in out and "duplicates" in out
 
+    def test_ingest_window_excluding_every_event_is_data_error(self, small_log, capsys):
+        assert main(["ingest", "--events", str(small_log), "--window-start", "2030-01-01"]) == 2
+        assert "events           0" in capsys.readouterr().out
+
+    def test_ingest_one_day_window_equals_a_cut_log(self, small_log, tmp_path, capsys):
+        day = json.loads(small_log.read_text().splitlines()[-1])["ts"][:10]
+        cut = write_log(tmp_path / "cut.jsonl", [
+            line for line in small_log.read_text().splitlines()
+            if json.loads(line)["ts"][:10] == day
+        ])
+        assert main(["ingest", "--events", str(cut)]) == 0
+        expected = capsys.readouterr().out
+        assert main([
+            "ingest", "--events", str(small_log), "--window-start", day, "--window-end", day
+        ]) == 0
+        windowed = capsys.readouterr().out
+        assert windowed == expected
+        assert "events           0" not in windowed
+
     def test_analyze_prints_table(self, small_log, capsys):
         assert main(["analyze", "--events", str(small_log)]) == 0
         assert "Acceptance" in capsys.readouterr().out
@@ -222,6 +241,11 @@ class TestCli:
     def test_report_csv_without_out_is_usage_error(self, small_log):
         with pytest.raises(SystemExit) as err:
             main(["report", "--events", str(small_log), "--format", "csv"])
+        assert err.value.code == 1
+
+    def test_report_csv_without_out_is_checked_before_the_run(self):
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--events", "/nonexistent.jsonl", "--format", "csv"])
         assert err.value.code == 1
 
     def test_missing_events_flag_is_usage_error(self):
