@@ -13,7 +13,7 @@ from pathlib import Path
 import yaml
 
 from .events import DEDUP_WINDOW_SECONDS
-from .taskparse import DEFAULT_DIRECTIVE_KEYS
+from .taskparse import CONSTRUCT_ERRORS, DEFAULT_DIRECTIVE_KEYS
 
 
 class BadConfig(ValueError):
@@ -54,7 +54,7 @@ def load_config(path: str | Path | None) -> Config:
         return Config()
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except CONSTRUCT_ERRORS as exc:
         raise BadConfig("<file>", f"not parseable: {exc}") from None
     if raw is None:
         return Config()

@@ -8,7 +8,7 @@ from datetime import date, timedelta
 from itertools import accumulate
 from typing import Iterable
 
-from .edits import Category, SuggestionOutcome
+from .edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome
 from .events import CompletionEvent, RawEvent, UserTimeline
 
 WEEKDAY_NAMES = tuple(calendar.day_name)  # Monday .. Sunday
@@ -36,39 +36,54 @@ class AcceptanceSummary:
     avg_tokens_per_suggestion: float
     initial_rate: float
     strong_rate: float
+    minor_breakdown: dict[str, int]  # _MINOR_KEYS order; sums to minor_edits
+    module_edited: int  # outcomes with at least one module-edit tag
+    module_edit_tags: dict[str, int]  # ModuleEditTag order; tags may overlap
+    unparseable_documents: int
+
+
+# "unclassified": a minor edit, module unchanged, whose change fits no subcategory.
+_MINOR_KEYS = ("module_changed", *(s.value for s in MinorSubcategory), "unclassified")
 
 
 def acceptance_summary(outcomes: Iterable[SuggestionOutcome]) -> AcceptanceSummary:
-    """Aggregate classified outcomes into the headline acceptance counts.
+    """Every outcome number in the report, from one pass over classified outcomes.
 
     minor_edits covers every minor edit, including those whose module changed;
     module_changed_minor is that subset.  fully + minor + major + deleted +
     unresolved = initially_accepted.
     """
-    outcomes = list(outcomes)
-    total = len(outcomes)
-    accepted = [o for o in outcomes if o.category in _ACCEPTED_CATEGORIES]
-    counts = {
-        Category.FULLY_ACCEPTED: 0,
-        Category.MINOR_EDIT: 0,
-        Category.MAJOR_EDIT: 0,
-        Category.DELETED_AFTER_ACCEPT: 0,
-        Category.UNRESOLVED: 0,
-    }
-    module_changed_minor = 0
-    for outcome in accepted:
-        counts[outcome.category] += 1
-        if outcome.category is Category.MINOR_EDIT and outcome.module_changed:
-            module_changed_minor += 1
+    total = lines = tokens = module_edited = unparseable = 0
+    categories = dict.fromkeys(Category, 0)
+    minor = dict.fromkeys(_MINOR_KEYS, 0)
+    tags = {tag.value: 0 for tag in ModuleEditTag}
+    for outcome in outcomes:
+        total += 1
+        lines += outcome.suggestion_lines
+        tokens += outcome.suggestion_tokens
+        categories[outcome.category] += 1
+        if outcome.category is Category.MINOR_EDIT:
+            if outcome.module_changed:
+                minor["module_changed"] += 1
+            elif outcome.minor_subcategory is None:
+                minor["unclassified"] += 1
+            else:
+                minor[outcome.minor_subcategory.value] += 1
+        if outcome.module_edit_tags:
+            module_edited += 1
+            for tag in outcome.module_edit_tags:
+                tags[tag.value] += 1
+        if outcome.doc_unparseable:
+            unparseable += 1
 
-    initially_accepted = len(accepted)
-    initial_rate = initially_accepted / total if total else 0.0
+    initially_accepted = total - categories[Category.REJECTED] - categories[Category.IGNORED]
+    module_changed_minor = minor["module_changed"]
     strong_rate = (
         _strong_rate(
             total,
             initially_accepted,
-            counts[Category.DELETED_AFTER_ACCEPT],
-            counts[Category.MAJOR_EDIT],
+            categories[Category.DELETED_AFTER_ACCEPT],
+            categories[Category.MAJOR_EDIT],
             module_changed_minor,
         )
         if total
@@ -77,32 +92,21 @@ def acceptance_summary(outcomes: Iterable[SuggestionOutcome]) -> AcceptanceSumma
     return AcceptanceSummary(
         total_suggestions=total,
         initially_accepted=initially_accepted,
-        fully_accepted=counts[Category.FULLY_ACCEPTED],
-        minor_edits=counts[Category.MINOR_EDIT],
-        major_edits=counts[Category.MAJOR_EDIT],
-        deleted_after_accept=counts[Category.DELETED_AFTER_ACCEPT],
+        fully_accepted=categories[Category.FULLY_ACCEPTED],
+        minor_edits=categories[Category.MINOR_EDIT],
+        major_edits=categories[Category.MAJOR_EDIT],
+        deleted_after_accept=categories[Category.DELETED_AFTER_ACCEPT],
         module_changed_minor=module_changed_minor,
-        unresolved=counts[Category.UNRESOLVED],
-        avg_lines_per_suggestion=(
-            sum(o.suggestion_lines for o in outcomes) / total if total else 0.0
-        ),
-        avg_tokens_per_suggestion=(
-            sum(o.suggestion_tokens for o in outcomes) / total if total else 0.0
-        ),
-        initial_rate=initial_rate,
+        unresolved=categories[Category.UNRESOLVED],
+        avg_lines_per_suggestion=lines / total if total else 0.0,
+        avg_tokens_per_suggestion=tokens / total if total else 0.0,
+        initial_rate=initially_accepted / total if total else 0.0,
         strong_rate=strong_rate,
+        minor_breakdown=minor,
+        module_edited=module_edited,
+        module_edit_tags=tags,
+        unparseable_documents=unparseable,
     )
-
-
-_ACCEPTED_CATEGORIES = frozenset(
-    {
-        Category.FULLY_ACCEPTED,
-        Category.MINOR_EDIT,
-        Category.MAJOR_EDIT,
-        Category.DELETED_AFTER_ACCEPT,
-        Category.UNRESOLVED,
-    }
-)
 
 
 def _strong_rate(total, accepted, deleted, major, module_changed_minor) -> float:

@@ -19,14 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import Config
-from .edits import (
-    Category,
-    MinorSubcategory,
-    ModuleEditTag,
-    SuggestionOutcome,
-    TaskCache,
-    analyze_timeline,
-)
+from .edits import TaskCache, analyze_timeline
 from .events import build_timelines, collector_paused, deduplicate, read_events
 from .feedback import FeedbackSummary, summarize_feedback
 from .metrics import (
@@ -66,10 +59,6 @@ class AnalysisReport:
     total_users: int
     returning_users: int
     acceptance: AcceptanceSummary
-    accepted_breakdown: dict[str, int]
-    minor_breakdown: dict[str, int]
-    module_edited_outcomes: int
-    module_edit_tag_counts: dict[str, int]
     retention: RetentionCurve
     temporal_raw: TemporalProfile
     temporal_dedup: TemporalProfile
@@ -124,18 +113,12 @@ def run_pipeline(
     analyses = [  # user_id order
         analyze_timeline(t, config, cache) for t in timelines if t.user_id in returning
     ]
-    outcomes = [o for analysis in analyses for o in analysis.outcomes]
-
-    summary = acceptance_summary(outcomes)
+    summary = acceptance_summary(o for analysis in analyses for o in analysis.outcomes)
     return AnalysisReport(
         window=window,
         total_users=len(timelines),
         returning_users=len(returning),
         acceptance=summary,
-        accepted_breakdown=_accepted_breakdown(summary),
-        minor_breakdown=_minor_breakdown(outcomes),
-        module_edited_outcomes=sum(1 for o in outcomes if o.module_edit_tags),
-        module_edit_tag_counts=_tag_counts(outcomes),
         retention=retention_curve(timelines, config.retention_horizon, window[1]),
         temporal_raw=temporal_profile(events, window),
         temporal_dedup=temporal_profile(deduped, window),
@@ -146,56 +129,9 @@ def run_pipeline(
             orphan_actions=sum(a.orphan_actions for a in analyses),
             unresolved_outcomes=summary.unresolved,
             unparseable_suggestions=sum(a.unparseable_suggestions for a in analyses),
-            unparseable_documents=sum(1 for o in outcomes if o.doc_unparseable),
+            unparseable_documents=summary.unparseable_documents,
         ),
     )
-
-
-def _accepted_breakdown(summary: AcceptanceSummary) -> dict[str, int]:
-    """Disjoint slices over accepted suggestions; the minor slice excludes
-    module-changed minors, which get their own slice."""
-    return {
-        "fully_accepted": summary.fully_accepted,
-        "minor_edits": summary.minor_edits - summary.module_changed_minor,
-        "major_edits": summary.major_edits,
-        "deleted_after_accept": summary.deleted_after_accept,
-        "module_changed_minor": summary.module_changed_minor,
-        "unresolved": summary.unresolved,
-    }
-
-
-_MINOR_KEYS = (
-    "module_changed",
-    MinorSubcategory.VALUE_ONLY.value,
-    MinorSubcategory.KEY_ONLY.value,
-    MinorSubcategory.KEY_AND_VALUE.value,
-    MinorSubcategory.OPTION_ADDED.value,
-    MinorSubcategory.OPTION_REMOVED.value,
-    MinorSubcategory.MIXED.value,
-    "unclassified",
-)
-
-
-def _minor_breakdown(outcomes: Iterable[SuggestionOutcome]) -> dict[str, int]:
-    counts = dict.fromkeys(_MINOR_KEYS, 0)
-    for outcome in outcomes:
-        if outcome.category is not Category.MINOR_EDIT:
-            continue
-        if outcome.module_changed:
-            counts["module_changed"] += 1
-        elif outcome.minor_subcategory is None:
-            counts["unclassified"] += 1
-        else:
-            counts[outcome.minor_subcategory.value] += 1
-    return counts
-
-
-def _tag_counts(outcomes: Iterable[SuggestionOutcome]) -> dict[str, int]:
-    counts = {tag.value: 0 for tag in ModuleEditTag}
-    for outcome in outcomes:
-        for tag in outcome.module_edit_tags:
-            counts[tag.value] += 1
-    return counts
 
 
 def _pct(numerator: float, denominator: float) -> float:
@@ -235,11 +171,23 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "initial_rate": round(100.0 * acc.initial_rate, 2),
             "strong_rate": round(100.0 * acc.strong_rate, 2),
         },
-        "accepted_breakdown": _share_map(report.accepted_breakdown, acc.initially_accepted),
-        "minor_edit_breakdown": _share_map(report.minor_breakdown, acc.minor_edits),
+        # Disjoint slices over accepted suggestions: the minor slice excludes
+        # module-changed minors, which get their own slice.
+        "accepted_breakdown": _share_map(
+            {
+                "fully_accepted": acc.fully_accepted,
+                "minor_edits": acc.minor_edits - acc.module_changed_minor,
+                "major_edits": acc.major_edits,
+                "deleted_after_accept": acc.deleted_after_accept,
+                "module_changed_minor": acc.module_changed_minor,
+                "unresolved": acc.unresolved,
+            },
+            acc.initially_accepted,
+        ),
+        "minor_edit_breakdown": _share_map(acc.minor_breakdown, acc.minor_edits),
         "module_edits": {
-            "outcomes": report.module_edited_outcomes,
-            "tags": _share_map(report.module_edit_tag_counts, report.module_edited_outcomes),
+            "outcomes": acc.module_edited,
+            "tags": _share_map(acc.module_edit_tags, acc.module_edited),
         },
         "retention": {
             "window_end": retention.window_end.isoformat(),

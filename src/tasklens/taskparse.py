@@ -29,6 +29,13 @@ import yaml
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# What building a value can raise under either safe loader: YAMLError for
+# recursive aliases and unknown tags, ValueError for bad !!int/!!float/
+# timestamp literals, IndexError for an empty or sign-only !!int/!!float,
+# KeyError for an unknown !!bool word, AttributeError for a malformed
+# !!timestamp, and RecursionError, since construction recurses per level.
+CONSTRUCT_ERRORS = (yaml.YAMLError, ValueError, LookupError, AttributeError, RecursionError)
+
 # Standard task keywords; "tag" is accepted as an alias of "tags" on input.
 # Extend via config when a playbook uses keywords not listed here.
 DEFAULT_DIRECTIVE_KEYS: tuple[str, ...] = (
@@ -232,6 +239,8 @@ def _compose(loader):
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
+    except RecursionError:  # the pure-Python composer recurses per nesting level
+        raise YamlSyntax("invalid YAML: nested too deeply") from None
 
 
 # Aliases let a short text name one node many times ("billion laughs": each
@@ -250,10 +259,7 @@ def _construct(loader, node, anchored: bool) -> Any:
             if _expanded_size(node, sizes) > max(_MAX_EXPANDED_NODES, len(sizes)):
                 raise ValueError(f"aliases expand it beyond {_MAX_EXPANDED_NODES} nodes")
         return loader.construct_object(node, deep=True)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # SafeConstructor raises ConstructorError for recursive aliases and
-        # unknown tags, ValueError for bad !!int/!!float/timestamp literals,
-        # and recurses once per nesting level, as the size walk does.
+    except CONSTRUCT_ERRORS as exc:
         detail = getattr(exc, "problem", None) or exc
         raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
 

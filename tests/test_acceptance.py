@@ -6,7 +6,9 @@ import time
 from datetime import date
 
 import pytest
+import yaml
 
+from tasklens import taskparse
 from tasklens.config import Config, load_config
 from tasklens.events import build_timelines, deduplicate, read_events
 from tasklens.gestalt import matching_blocks, similarity_ratio
@@ -93,8 +95,8 @@ def test_criterion_2_module_tag_identity(workdir, check):
     config_path.write_text(MODULE_TAG_CONFIG_YAML)
     report = run_pipeline([log], load_config(config_path))
 
-    total = report.module_edited_outcomes
-    counts = report.module_edit_tag_counts
+    total = report.acceptance.module_edited
+    counts = report.acceptance.module_edit_tags
     targets = {
         "fqcn_shortened": (346, 20.2),
         "reorganization": (211, 12.3),
@@ -259,3 +261,20 @@ def test_criterion_7_determinism_and_scale(workdir, check):
         ok,
         f"events={len(lines)} runtime={elapsed:.2f}s repeat=={first == second}",
     )
+
+
+@pytest.mark.parametrize("log_name", ["tags", "mixed"])
+def test_reports_do_not_depend_on_libyaml(workdir, monkeypatch, log_name):
+    """The criterion-2 log with its config and the criterion-7 log give the
+    same JSON report bytes under the pure-Python loader as under the default."""
+    if log_name == "tags":
+        log = write_log(workdir / "tags-loader.jsonl", module_tag_lines())
+        config_path = workdir / "tags-loader.yaml"
+        config_path.write_text(MODULE_TAG_CONFIG_YAML)
+        config = load_config(config_path)
+    else:
+        log = write_log(workdir / "mixed-loader.jsonl", mixed_lines(target_events=100_000))
+        config = Config()
+    default = render_report(run_pipeline([log], config), "json")
+    monkeypatch.setattr(taskparse, "_Loader", yaml.SafeLoader)
+    assert render_report(run_pipeline([log], config), "json") == default

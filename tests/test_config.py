@@ -61,11 +61,25 @@ class TestValidation:
             "directive_keys: [1, 2]\n",
             "retention_horizon: 1.5\n",
             "- a list\n",
+            # values PyYAML's constructor cannot build, and too deep to build
+            "retention_horizon: !!int \n",
+            "retention_horizon: !!float \n",
+            "retention_horizon: !!int +\n",
+            "retention_horizon: !!int _\n",
+            "retention_horizon: !!bool maybe\n",
+            "retention_horizon: !!timestamp \n",
+            "directive_keys: " + "[" * 3000 + "]" * 3000 + "\n",
         ],
     )
     def test_bad_configs(self, tmp_path, body):
         path = tmp_path / "cfg.yaml"
         path.write_text(body)
+        with pytest.raises(BadConfig):
+            load_config(path)
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"retention_horizon: 3\xff\n")
         with pytest.raises(BadConfig):
             load_config(path)
 

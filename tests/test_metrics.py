@@ -1,10 +1,12 @@
 import json
 import random
+from dataclasses import asdict, replace
 from datetime import date, timedelta
 
 import pytest
 
-from tasklens.edits import Category, SuggestionOutcome
+from tasklens.config import Config
+from tasklens.edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome
 from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.metrics import (
     EmptyWindow,
@@ -16,6 +18,8 @@ from tasklens.metrics import (
     returning_user_cohort,
     temporal_profile,
 )
+from tasklens.report import report_to_dict, run_pipeline
+from tasklens.synth import EditMix, edit_analysis_lines, write_log
 
 def outcome(category, module_changed=False, lines=6, tokens=20):
     decision = {
@@ -88,6 +92,108 @@ class TestAcceptanceSummary:
         summary = acceptance_summary(outs)
         assert summary.avg_lines_per_suggestion == 6.0
         assert summary.avg_tokens_per_suggestion == 20.0
+
+
+class TestAcceptanceFold:
+    """The one pass of acceptance_summary against the per-section passes it
+    replaced, kept here as the oracle."""
+
+    ACCEPTED = (Category.FULLY_ACCEPTED, Category.MINOR_EDIT, Category.MAJOR_EDIT,
+                Category.DELETED_AFTER_ACCEPT, Category.UNRESOLVED)
+    MINOR_KEYS = ("module_changed", "value_only", "key_only", "key_and_value",
+                  "option_added", "option_removed", "mixed", "unclassified")
+
+    @classmethod
+    def _oracle(cls, outcomes):
+        """Every AcceptanceSummary field, each counted in its own pass."""
+        total = len(outcomes)
+        accepted = [o for o in outcomes if o.category in cls.ACCEPTED]
+        counts = {c: sum(1 for o in accepted if o.category is c) for c in cls.ACCEPTED}
+        minors = [o for o in outcomes if o.category is Category.MINOR_EDIT]
+        minor_breakdown = dict.fromkeys(cls.MINOR_KEYS, 0)
+        for o in minors:
+            if o.module_changed:
+                minor_breakdown["module_changed"] += 1
+            elif o.minor_subcategory is None:
+                minor_breakdown["unclassified"] += 1
+            else:
+                minor_breakdown[o.minor_subcategory.value] += 1
+        tags = {tag.value: 0 for tag in ModuleEditTag}
+        for o in outcomes:
+            for tag in o.module_edit_tags:
+                tags[tag.value] += 1
+        module_changed_minor = sum(1 for o in minors if o.module_changed)
+        strong = (len(accepted) - counts[Category.DELETED_AFTER_ACCEPT]
+                  - counts[Category.MAJOR_EDIT] - module_changed_minor)
+        return {
+            "total_suggestions": total,
+            "initially_accepted": len(accepted),
+            "fully_accepted": counts[Category.FULLY_ACCEPTED],
+            "minor_edits": counts[Category.MINOR_EDIT],
+            "major_edits": counts[Category.MAJOR_EDIT],
+            "deleted_after_accept": counts[Category.DELETED_AFTER_ACCEPT],
+            "module_changed_minor": module_changed_minor,
+            "unresolved": counts[Category.UNRESOLVED],
+            "avg_lines_per_suggestion":
+                sum(o.suggestion_lines for o in outcomes) / total if total else 0.0,
+            "avg_tokens_per_suggestion":
+                sum(o.suggestion_tokens for o in outcomes) / total if total else 0.0,
+            "initial_rate": len(accepted) / total if total else 0.0,
+            "strong_rate": strong / total if total else 0.0,
+            "minor_breakdown": minor_breakdown,
+            "module_edited": sum(1 for o in outcomes if o.module_edit_tags),
+            "module_edit_tags": tags,
+            "unparseable_documents": sum(1 for o in outcomes if o.doc_unparseable),
+        }
+
+    @staticmethod
+    def _random_outcome(rng):
+        result = outcome(
+            rng.choice(list(Category)),
+            module_changed=rng.random() < 0.3,
+            lines=rng.randrange(40),
+            tokens=rng.randrange(200),
+        )
+        result.minor_subcategory = rng.choice([None, *MinorSubcategory])
+        result.module_edit_tags = frozenset(t for t in ModuleEditTag if rng.random() < 0.3)
+        result.doc_unparseable = rng.random() < 0.2
+        return result
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        lines = edit_analysis_lines(EditMix(fully=2, minor=1, minor_module=1, major=1, deleted=1),
+                                    n_users=2)
+        return run_pipeline([write_log(tmp_path_factory.mktemp("fold") / "log.jsonl", lines)],
+                            Config())
+
+    def test_matches_per_section_oracle_on_random_outcomes(self, report):
+        rng = random.Random(8)
+        for _ in range(300):
+            outcomes = [self._random_outcome(rng) for _ in range(rng.randrange(60))]
+            summary = acceptance_summary(iter(outcomes))  # one pass: a generator will do
+            want = self._oracle(outcomes)
+            got = asdict(summary)
+            assert got == want
+            assert list(got["minor_breakdown"]) == list(want["minor_breakdown"])
+            assert list(got["module_edit_tags"]) == list(want["module_edit_tags"])
+
+            doc = report_to_dict(replace(report, acceptance=summary))
+            counts = {k: v["count"] for k, v in doc["accepted_breakdown"].items()}
+            assert counts == {
+                "fully_accepted": want["fully_accepted"],
+                "minor_edits": want["minor_edits"] - want["module_changed_minor"],
+                "major_edits": want["major_edits"],
+                "deleted_after_accept": want["deleted_after_accept"],
+                "module_changed_minor": want["module_changed_minor"],
+                "unresolved": want["unresolved"],
+            }
+            assert {k: v["count"] for k, v in doc["minor_edit_breakdown"].items()} == (
+                want["minor_breakdown"]
+            )
+            assert doc["module_edits"]["outcomes"] == want["module_edited"]
+            assert {k: v["count"] for k, v in doc["module_edits"]["tags"].items()} == (
+                want["module_edit_tags"]
+            )
 
 
 class TestStrongAcceptanceRate:

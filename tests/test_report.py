@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -8,6 +9,7 @@ from tasklens import taskparse
 from tasklens.cli import main
 from tasklens.config import Config
 from tasklens.report import (
+    REPORT_FORMATS,
     UnknownFormat,
     ZeroEvents,
     render_report,
@@ -21,6 +23,8 @@ from tasklens.synth import (
     feedback_lines,
     write_log,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_MIX = EditMix(
     fully=20, minor=6, minor_module=3, major=4, deleted=5,
@@ -56,10 +60,11 @@ class TestRunPipeline:
         assert acc.unresolved == 3
 
     def test_accepted_breakdown_separates_module_changed(self, small_report):
-        breakdown = small_report.accepted_breakdown
-        assert breakdown["minor_edits"] == 6
-        assert breakdown["module_changed_minor"] == 3
-        assert breakdown["fully_accepted"] == 20
+        breakdown = report_to_dict(small_report)["accepted_breakdown"]
+        assert breakdown["minor_edits"]["count"] == 6
+        assert breakdown["module_changed_minor"]["count"] == 3
+        assert breakdown["fully_accepted"]["count"] == 20
+        assert small_report.acceptance.minor_breakdown["module_changed"] == 3
 
     def test_feedback_flows_through(self, small_report):
         assert small_report.feedback.total == 11
@@ -186,6 +191,14 @@ class TestRendering:
         assert "Acceptance (returning-user cohort)" in text
         assert "Retention" in text
         assert "Data quality" in text
+
+    def test_renders_match_golden_files(self, small_report):
+        """Every file of every format, byte for byte, against the renders of
+        this log kept in tests/golden."""
+        rendered = {}
+        for fmt in REPORT_FORMATS:
+            rendered.update(render_report(small_report, fmt))
+        assert rendered == {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
 
     def test_unknown_format(self, small_report):
         with pytest.raises(UnknownFormat):
@@ -390,6 +403,27 @@ class TestCli:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("minor_major_threshold: 7\n")
         assert main(["analyze", "--events", str(small_log), "--config", str(cfg)]) == 2
+
+    def test_config_value_pyyaml_cannot_build_is_data_error(self, small_log, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("retention_horizon: !!int \n")
+        assert main(["report", "--events", str(small_log), "--config", str(cfg)]) == 2
+        assert "config key '<file>'" in capsys.readouterr().err
+
+    def test_suggestion_value_pyyaml_cannot_build_is_unparseable(
+        self, small_log, small_report, tmp_path, capsys
+    ):
+        log = tmp_path / "tagged.jsonl"
+        log.write_bytes(
+            small_log.read_bytes()
+            + b'{"event_id": "s", "user_id": "u00000", "ts": "2023-06-01T09:00:00Z",'
+            b' "type": "suggestion", "suggestion_id": "sx",'
+            b' "text": "- name: a\\n  debug: !!int \\n", "lines": 2, "tokens": 3}\n'
+        )
+        assert main(["report", "--events", str(log), "--format", "json"]) == 0
+        quality = json.loads(capsys.readouterr().out)["data_quality"]
+        assert (quality["unparseable_suggestions"]
+                == small_report.data_quality.unparseable_suggestions + 1)
 
     def test_window_flags(self, small_log, capsys):
         assert main(

@@ -1,5 +1,10 @@
+import time
+from unittest import mock
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasklens import taskparse
 from tasklens.taskparse import (
@@ -8,6 +13,7 @@ from tasklens.taskparse import (
     ModuleName,
     NotATaskShape,
     RAW_PARAMS_KEY,
+    TaskParseError,
     YamlSyntax,
     canonical,
     canonical_options,
@@ -261,6 +267,29 @@ class TestUnconstructableValues:
         with pytest.raises(BadYamlValue):
             parse_tasks(f"- name: t\n  copy:\n    src: {value}\n")
 
+    # PyYAML's SafeConstructor raises IndexError, KeyError or AttributeError
+    # for these, under both loaders.
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("memo", [None, {}])
+    @pytest.mark.parametrize(
+        "value",
+        ["!!int ", "!!float ", "!!int +", "!!int _", "!!bool maybe", "!!timestamp ",
+         "{msg: !!int -}"],
+    )
+    def test_tagged_scalar_pyyaml_cannot_build(self, monkeypatch, loader, memo, value):
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        with pytest.raises(BadYamlValue):
+            parse_tasks(f"- name: a\n  debug: {value}\n", memo=memo)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("tab", ["", "\t"])
+    def test_nesting_too_deep_to_compose_is_a_task_parse_error(self, monkeypatch, loader, tab):
+        # A tab sends the text to the pure-Python loader, whose composer
+        # recurses once per level before any value is built.
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        with pytest.raises(TaskParseError):
+            parse_tasks(f"- name: a\n  debug:\n    {'- ' * 3000}x\n{tab}")
+
     def test_aliases_below_the_cap_are_built(self):
         (task,) = parse_tasks(
             "- name: t\n  copy:\n    a: &d {mode: '0644'}\n    b: *d\n"
@@ -274,3 +303,62 @@ class TestUnconstructableValues:
         big = "[" + ", ".join(["x"] * 20_000) + "]"
         (task,) = parse_tasks(f"- name: rock & roll\n  copy:\n    src: {big}\n")
         assert len(task.options["src"]) == 20_000
+
+
+# A fuzzed text is lines of an indent, an optional dash, an optional key and
+# value tokens.  The tokens send the scanner, composer and constructor down
+# their less common paths: tags PyYAML cannot always build, anchors, aliases
+# and merge keys, complex keys, flow brackets, quotes, block scalars and tabs.
+FUZZ_KEYS = ["", "name: t", "tasks:", "debug:", "msg:", "copy:", "ansible.builtin.shell:",
+             "when:", "block:", "vars:", "<<:", "? x", "x:"]
+FUZZ_VALUES = [
+    "!!int", "!!bool", "!!timestamp", "!!binary", "!!float", "!!str", "!!set", "!!omap",
+    "!!python/tuple", "&a", "&b", "*a", "*b", "<<:", "?", ":", "[", "]", "{", "}", ",",
+    "'", '"', "|", ">-", "#", "\t", "x", "0", "+", "_", "maybe", "2001-12-14", "~", ".",
+    "---",
+]
+
+
+@st.composite
+def yaml_texts(draw):
+    lines = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", " ", "  ", "    ", "      ", "\t"]),
+                st.sampled_from(["", "- "]),
+                st.sampled_from(FUZZ_KEYS),
+                st.sampled_from([" ", ""]),
+                st.lists(st.sampled_from(FUZZ_VALUES), max_size=4),
+            ),
+            max_size=10,
+        )
+    )
+    body = "\n".join(
+        indent + dash + key + sep + sep.join(values)
+        for indent, dash, key, sep, values in lines
+    )
+    return body + draw(st.sampled_from(["", "\n"]))
+
+
+def _verdict(text, memo):
+    """parse_tasks' result, or the class of the TaskParseError it raised;
+    any other exception escapes."""
+    try:
+        return parse_tasks(text, memo=memo, skeletons=None if memo is None else {})
+    except TaskParseError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=yaml_texts())
+def test_fuzzed_texts_raise_only_task_parse_errors(text):
+    """Under both loaders, with and without the memos, only TaskParseError
+    escapes, each parse takes under 1 s, and all four verdicts agree."""
+    verdicts = []
+    for loader in LOADERS:
+        with mock.patch.object(taskparse, "_Loader", loader):
+            for memo in (None, {}):
+                started = time.perf_counter()
+                verdicts.append(_verdict(text, memo))
+                assert time.perf_counter() - started < 1.0
+    assert all(verdict == verdicts[0] for verdict in verdicts)
