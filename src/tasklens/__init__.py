@@ -11,14 +11,7 @@ from .events import (
     ActionEvent, CompletionEvent, ContentEvent, FeedbackEvent, RawEvent, SuggestionEvent,
     UserTimeline, build_timelines, deduplicate, parse_event_line, read_events,
 )
-from .gestalt import (
-    MatchingBlock,
-    SimilarityRatio,
-    edit_fraction,
-    find_longest_match,
-    matching_blocks,
-    similarity_ratio,
-)
+from .gestalt import MatchingBlock, edit_fraction, matching_blocks
 from .metrics import (
     AcceptanceSummary,
     RetentionCurve,
@@ -47,7 +40,6 @@ __all__ = [
     "ModuleName",
     "RawEvent",
     "RetentionCurve",
-    "SimilarityRatio",
     "SuggestionEvent",
     "TemporalProfile",
     "UserTimeline",
@@ -55,7 +47,6 @@ __all__ = [
     "build_timelines",
     "deduplicate",
     "edit_fraction",
-    "find_longest_match",
     "load_config",
     "matching_blocks",
     "parse_event_line",
@@ -67,6 +58,5 @@ __all__ = [
     "returning_user_cohort",
     "run_pipeline",
     "short_name",
-    "similarity_ratio",
     "temporal_profile",
 ]

@@ -25,7 +25,6 @@ from .taskparse import (
     AnsibleTask,
     NotATaskShape,
     TaskParseError,
-    canonical_options,
     parse_tasks,
     short_name,
 )
@@ -150,20 +149,13 @@ def name_from_prompt(prompt: str) -> str | None:
     return stripped or None
 
 
-def pair_outcomes(
-    timeline: UserTimeline,
-    config: Config | None = None,
-    cache: TaskCache | None = None,
-) -> PairingResult:
+def pair_outcomes(timeline: UserTimeline, config: Config, cache: TaskCache) -> PairingResult:
     """Pre-classification pairing of suggestions with actions and content.
 
     Suggestions with no action are Ignored; actions whose suggestion id never
     appears are counted as orphans.  Suggestion texts that do not parse as
     exactly one task are dropped and counted.
     """
-    config = config or Config()
-    cache = cache or TaskCache(config.directive_keys)
-
     prompts: dict[str, str] = {}
     actions: dict[str, tuple[UserAction, int]] = {}  # sid -> (action, event index)
     contents: list[tuple[int, ContentEvent]] = []
@@ -222,7 +214,7 @@ def pair_outcomes(
 def match_committed_task(
     shown: AnsibleTask,
     doc_tasks: tuple[AnsibleTask, ...] | list[AnsibleTask],
-    rename_match_floor: float = 0.3,
+    rename_match_floor: float,
 ) -> AnsibleTask | None:
     """Locate the committed form of a shown task in a document snapshot.
 
@@ -235,18 +227,18 @@ def match_committed_task(
         for task in doc_tasks:
             if task.name == shown.name:
                 return task
-    shown_lines = shown.stripped_lines()
+    shown_lines = shown.stripped_lines
     shown_set = set(shown_lines)
     best: AnsibleTask | None = None
     best_ratio = 0.0
     for task in doc_tasks:
-        lines = task.stripped_lines()
+        lines = task.stripped_lines
         total = len(shown_lines) + len(lines)
         # Every matched line of the candidate is one of the shown lines, so
         # this bounds its ratio; only a strictly greater ratio replaces the best.
         if total and 2.0 * sum(map(shown_set.__contains__, lines)) / total <= best_ratio:
             continue
-        ratio = similarity_ratio(shown_lines, lines).value
+        ratio = similarity_ratio(shown_lines, lines)
         if ratio > best_ratio:
             best, best_ratio = task, ratio
     if best is not None and best_ratio >= rename_match_floor:
@@ -255,14 +247,9 @@ def match_committed_task(
 
 
 def classify_outcome(
-    outcome: SuggestionOutcome,
-    config: Config | None = None,
-    cache: TaskCache | None = None,
+    outcome: SuggestionOutcome, config: Config, cache: TaskCache
 ) -> SuggestionOutcome:
     """Fill category, edit fraction, subcategory and module-edit tags in place."""
-    config = config or Config()
-    cache = cache or TaskCache(config.directive_keys)
-
     if outcome.decision is UserAction.REJECTED:
         outcome.category = Category.REJECTED
         return outcome
@@ -286,8 +273,8 @@ def classify_outcome(
         if committed is None:
             outcome.category = Category.DELETED_AFTER_ACCEPT
             return outcome
-        shown_body = shown.body_lines()
-        committed_body = committed.body_lines()
+        shown_body = shown.body_lines
+        committed_body = committed.body_lines
         fraction = (
             0.0 if shown_body == committed_body
             else gestalt_edit_fraction(shown_body, committed_body)
@@ -324,8 +311,8 @@ def minor_subcategory(shown: AnsibleTask, committed: AnsibleTask) -> MinorSubcat
     None when the options are structurally identical (the edit was cosmetic or
     outside the module body).
     """
-    before = canonical_options(shown)
-    after = canonical_options(committed)
+    before = shown.canonical_options
+    after = committed.canonical_options
     added = set(after) - set(before)
     removed = set(before) - set(after)
     common_changed = {k for k in set(before) & set(after) if before[k] != after[k]}
@@ -344,10 +331,9 @@ def minor_subcategory(shown: AnsibleTask, committed: AnsibleTask) -> MinorSubcat
 
 
 def module_edit_tags(
-    shown: AnsibleTask, committed: AnsibleTask, config: Config | None = None
+    shown: AnsibleTask, committed: AnsibleTask, config: Config
 ) -> frozenset[ModuleEditTag]:
     """Tag a module-level edit; tags may overlap, 'other' only stands alone."""
-    config = config or Config()
     tags: set[ModuleEditTag] = set()
     s_mod, c_mod = shown.module, committed.module
     s_short = short_name(s_mod) if s_mod else None
@@ -378,14 +364,8 @@ def module_edit_tags(
     return frozenset(tags)
 
 
-def analyze_timeline(
-    timeline: UserTimeline,
-    config: Config | None = None,
-    cache: TaskCache | None = None,
-) -> PairingResult:
+def analyze_timeline(timeline: UserTimeline, config: Config, cache: TaskCache) -> PairingResult:
     """pair + classify for one user; the result holds the classified outcomes."""
-    config = config or Config()
-    cache = cache or TaskCache(config.directive_keys)
     paired = pair_outcomes(timeline, config, cache)
     paired.outcomes = [classify_outcome(o, config, cache) for o in paired.outcomes]
     return paired

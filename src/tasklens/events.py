@@ -209,6 +209,11 @@ _ACTION_BY_NAME = {action.value: action for action in UserAction}
 
 _scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# The deepest nesting of arrays and objects an event line may hold (the event
+# object itself is level 1).  The decoder recurses once per level, so whether
+# a deeper line decodes would depend on the caller's stack depth and on the
+# Python version; such a line is malformed instead.
+MAX_JSON_DEPTH = 64
 # A lone surrogate cannot be encoded as UTF-8.  Invalid UTF-8 bytes decode to
 # one under "surrogateescape", and a JSON \u escape can spell one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -216,8 +221,24 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
+def _nests_too_deeply(value) -> bool:
+    """Whether a decoded value nests arrays and objects deeper than MAX_JSON_DEPTH."""
+    level = [value]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            child
+            for value in level
+            if type(value) in (dict, list)
+            for child in (value.values() if type(value) is dict else value)
+        ]
+        if not level:
+            return False
+    return any(type(value) in (dict, list) for value in level)
+
+
 def _decode_json(line: str):
-    """Accept exactly what ``json.loads`` accepts, without its per-call overhead."""
+    """Accept what ``json.loads`` accepts, nested at most MAX_JSON_DEPTH levels
+    deep, without its per-call overhead."""
     start = 0 if line[:1] == "{" else _JSON_WHITESPACE.match(line).end()
     try:
         obj, end = _scan_json(line, start)
@@ -229,6 +250,9 @@ def _decode_json(line: str):
         raise MalformedJson("invalid JSON: nested too deeply") from None
     if end != len(line) and _JSON_WHITESPACE.match(line, end).end() != len(line):
         raise MalformedJson("invalid JSON: Extra data")
+    # Each level opens with a bracket: a line with no "[" and one "{" is flat.
+    if ("[" in line or line.find("{", 1) >= 0) and _nests_too_deeply(obj):
+        raise MalformedJson("invalid JSON: nested too deeply")
     return obj
 
 

@@ -12,11 +12,6 @@ from typing import Iterable
 
 from .events import FeedbackEvent, RawEvent
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
-_POLARITY_STARS = {NEGATIVE: (1, 2), POSITIVE: (4, 5)}
-
 
 @dataclass(frozen=True)
 class LabelDistribution:
@@ -37,45 +32,21 @@ class FeedbackSummary:
     negative_labels: LabelDistribution
 
 
-def label_distribution(events: Iterable[RawEvent], polarity: str) -> LabelDistribution:
-    """Share per label over the labeled comments of one polarity.
-
-    Comments without a label are counted separately, never silently dropped.
-    """
-    try:
-        star_values = _POLARITY_STARS[polarity]
-    except KeyError:
-        raise ValueError(f"polarity must be 'positive' or 'negative', got {polarity!r}")
-    counts: dict[str, int] = {}
-    unlabeled = 0
-    for event in events:
-        if type(event) is not FeedbackEvent or event.stars not in star_values:
-            continue
-        label = event.sentiment_label
-        if label is None:
-            unlabeled += 1
-        else:
-            counts[label] = counts.get(label, 0) + 1
-    labeled = sum(counts.values())
-    shares = {
-        label: counts[label] / labeled for label in sorted(counts)
-    } if labeled else {}
-    return LabelDistribution(
-        counts={label: counts[label] for label in sorted(counts)},
-        shares=shares,
-        labeled=labeled,
-        unlabeled=unlabeled,
-    )
-
-
 def summarize_feedback(events: Iterable[RawEvent]) -> FeedbackSummary:
     """Histogram over 1..5 stars, the satisfied/neutral/dissatisfied split and
-    both polarity label distributions."""
-    feedback = [e for e in events if type(e) is FeedbackEvent]
-    histogram = {stars: 0 for stars in range(1, 6)}
-    for event in feedback:
-        histogram[event.stars] += 1
-    total = len(feedback)
+    both polarity label distributions, from one pass over the events."""
+    histogram = dict.fromkeys(range(1, 6), 0)
+    negative: dict[str | None, int] = {}
+    positive: dict[str | None, int] = {}
+    label_counts = {1: negative, 2: negative, 4: positive, 5: positive}
+    for event in events:
+        if type(event) is FeedbackEvent:
+            histogram[event.stars] += 1
+            counts = label_counts.get(event.stars)
+            if counts is not None:
+                label = event.sentiment_label
+                counts[label] = counts.get(label, 0) + 1
+    total = sum(histogram.values())
     divisor = total or 1  # no feedback: every count is 0, so every share is 0.0
     return FeedbackSummary(
         total=total,
@@ -83,6 +54,23 @@ def summarize_feedback(events: Iterable[RawEvent]) -> FeedbackSummary:
         satisfied_share=(histogram[4] + histogram[5]) / divisor,
         neutral_share=histogram[3] / divisor,
         dissatisfied_share=(histogram[1] + histogram[2]) / divisor,
-        positive_labels=label_distribution(feedback, POSITIVE),
-        negative_labels=label_distribution(feedback, NEGATIVE),
+        positive_labels=_distribution(positive),
+        negative_labels=_distribution(negative),
+    )
+
+
+def _distribution(counts: dict[str | None, int]) -> LabelDistribution:
+    """Share per label over the labeled comments of one polarity.
+
+    Comments without a label (the None key) are counted separately, never
+    silently dropped.
+    """
+    unlabeled = counts.pop(None, 0)
+    labeled = sum(counts.values())
+    ordered = {label: counts[label] for label in sorted(counts)}
+    return LabelDistribution(
+        counts=ordered,
+        shares={label: count / labeled for label, count in ordered.items()},
+        labeled=labeled,
+        unlabeled=unlabeled,
     )

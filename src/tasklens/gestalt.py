@@ -43,32 +43,6 @@ class MatchingBlock:
     length: int
 
 
-@dataclass(frozen=True, slots=True)
-class SimilarityRatio:
-    value: float
-    matched_total: int
-    combined_length: int
-
-
-def find_longest_match(
-    a: Sequence[Hashable],
-    b: Sequence[Hashable],
-    a_range: tuple[int, int] | None = None,
-    b_range: tuple[int, int] | None = None,
-) -> MatchingBlock | None:
-    """Longest contiguous matching block of a[alo:ahi] vs b[blo:bhi].
-
-    Returns None when the ranges share no element.  Among equal-length
-    candidates the block with the lowest a_start wins, then lowest b_start.
-    """
-    alo, ahi = a_range if a_range is not None else (0, len(a))
-    blo, bhi = b_range if b_range is not None else (0, len(b))
-    if not (0 <= alo <= ahi <= len(a) and 0 <= blo <= bhi <= len(b)):
-        raise IndexError("range out of bounds")
-    match = SequenceMatcher(None, a, b, autojunk=False).find_longest_match(alo, ahi, blo, bhi)
-    return MatchingBlock(*match) if match.size else None
-
-
 def matching_blocks(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[MatchingBlock]:
     """All matching blocks, in ascending a_start order.
 
@@ -89,19 +63,18 @@ def matching_blocks(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[Matchi
     return [MatchingBlock(*block) for block in blocks[:-1]]  # less the (n, m, 0) sentinel
 
 
-def similarity_ratio(a: Sequence[Hashable], b: Sequence[Hashable]) -> SimilarityRatio:
+def similarity_ratio(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     """2*M/T similarity; 1.0 when both sequences are empty.
 
     Not guaranteed symmetric under argument swap (tie-breaking depends on
     argument order); callers should fix a convention.
     """
-    matched = sum(blk.length for blk in matching_blocks(a, b))
     total = len(a) + len(b)
     if total == 0:
-        return SimilarityRatio(1.0, 0, 0)
-    return SimilarityRatio(2.0 * matched / total, matched, total)
+        return 1.0
+    return 2.0 * sum(blk.length for blk in matching_blocks(a, b)) / total
 
 
 def edit_fraction(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     """Fraction of the pair that does not match: 1 - similarity."""
-    return 1.0 - similarity_ratio(a, b).value
+    return 1.0 - similarity_ratio(a, b)

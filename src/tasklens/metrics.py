@@ -173,12 +173,9 @@ def retention_curve(
 class TemporalProfile:
     daily_counts: dict[date, int]
     weekday_means: dict[str, float]
-    window: tuple[date, date] | None
 
 
-def temporal_profile(
-    events: Iterable[RawEvent], window: tuple[date, date] | None = None
-) -> TemporalProfile:
+def temporal_profile(events: Iterable[RawEvent], window: tuple[date, date]) -> TemporalProfile:
     """Completion requests per local date, and the mean count per weekday.
 
     The weekday mean divides by the number of such weekdays in the window, so
@@ -190,11 +187,6 @@ def temporal_profile(
         if type(event) is not CompletionEvent:
             continue
         daily[event.day] = daily.get(event.day, 0) + 1
-
-    if window is None:
-        if not daily:
-            return TemporalProfile({}, {name: 0.0 for name in WEEKDAY_NAMES}, None)
-        window = (min(daily), max(daily))
 
     start, end = window
     totals = [0] * 7
@@ -211,4 +203,4 @@ def temporal_profile(
         for i in range(7)
     }
     in_window = {d: c for d, c in sorted(daily.items()) if start <= d <= end}
-    return TemporalProfile(daily_counts=in_window, weekday_means=means, window=window)
+    return TemporalProfile(daily_counts=in_window, weekday_means=means)

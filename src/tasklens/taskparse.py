@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 from typing import Any, Iterable
 
 import yaml
@@ -131,30 +133,23 @@ class AnsibleTask:
     raw_lines: tuple[str, ...]
     name_span: tuple[int, int] | None = None
 
+    @cached_property
     def stripped_lines(self) -> list[str]:
-        """Task lines, trailing whitespace trimmed.
+        """Task lines, trailing whitespace trimmed; treat as read-only."""
+        return [line.rstrip() for line in self.raw_lines]
 
-        The result is cached on the instance; treat it as read-only.
-        """
-        cached = self.__dict__.get("_stripped_lines")
-        if cached is None:
-            cached = [line.rstrip() for line in self.raw_lines]
-            object.__setattr__(self, "_stripped_lines", cached)
-        return cached
-
+    @cached_property
     def body_lines(self) -> list[str]:
-        """Task lines minus the name entry, trailing whitespace trimmed.
+        """Task lines minus the name entry, trailing whitespace trimmed; treat as read-only."""
+        if self.name_span is None:
+            return self.stripped_lines
+        lo, hi = self.name_span
+        return self.stripped_lines[:lo] + self.stripped_lines[hi:]
 
-        The result is cached on the instance; treat it as read-only.
-        """
-        cached = self.__dict__.get("_body_lines")
-        if cached is None:
-            cached = self.stripped_lines()
-            if self.name_span is not None:
-                lo, hi = self.name_span
-                cached = cached[:lo] + cached[hi:]
-            object.__setattr__(self, "_body_lines", cached)
-        return cached
+    @cached_property
+    def canonical_options(self) -> dict[str, Any]:
+        """The options in canonical form; treat as read-only."""
+        return {key: canonical(value) for key, value in self.options.items()}
 
     def with_name(self, name: str) -> "AnsibleTask":
         return replace(self, name=name)
@@ -178,14 +173,6 @@ def canonical(value: Any) -> Any:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
-
-
-def canonical_options(task: AnsibleTask) -> dict[str, Any]:
-    cached = task.__dict__.get("_canonical_options")
-    if cached is None:
-        cached = {key: canonical(value) for key, value in task.options.items()}
-        object.__setattr__(task, "_canonical_options", cached)
-    return cached
 
 
 def parse_tasks(
@@ -223,9 +210,9 @@ def parse_tasks(
             return []
         text_lines = text.splitlines()
         task_nodes = _collect_task_nodes(root)
-        anchored = "&" in text
+        anchored, deep = "&" in text, _may_nest_deeply(text)
         return [
-            _task_from_node(node, loader, text_lines, directives, anchored)
+            _task_from_node(node, loader, text_lines, directives, anchored, deep)
             for node in task_nodes
         ]
     finally:
@@ -249,15 +236,34 @@ def _compose(loader):
 # nodes is refused; a value without aliases is never refused for its size.
 _MAX_EXPANDED_NODES = 10_000
 
+# The deepest nesting of collections a value may hold.  Construction recurses
+# per level, so whether a deeper value builds would depend on the caller's
+# stack depth and on the Python version; it is refused instead.
+_MAX_VALUE_DEPTH = 64
+# Every collection opens at one of these characters: a flow "[" or "{", a
+# block sequence entry's "-", a mapping entry's ":" or "?".
+_COLLECTION_CHARS = "[{-:?"
 
-def _construct(loader, node, anchored: bool) -> Any:
+
+def _may_nest_deeply(text: str) -> bool:
+    """False when ``text`` has too few collection characters, those in scalars
+    included, to nest any value deeper than _MAX_VALUE_DEPTH.  Through aliases
+    a path meets each node at most once, unless the alias is recursive, which
+    construction refuses."""
+    return sum(map(text.count, _COLLECTION_CHARS)) > _MAX_VALUE_DEPTH
+
+
+def _construct(loader, node, anchored: bool, deep: bool) -> Any:
     """The value of ``node``; ``anchored`` says whether the text defines an
-    anchor, without which no node can be an alias."""
+    anchor, without which no node can be an alias, and ``deep`` whether it
+    may nest a value too deeply (see _may_nest_deeply)."""
     try:
         if anchored:
             sizes: dict[int, int] = {}
             if _expanded_size(node, sizes) > max(_MAX_EXPANDED_NODES, len(sizes)):
                 raise ValueError(f"aliases expand it beyond {_MAX_EXPANDED_NODES} nodes")
+        if deep and _nests_too_deeply(node):
+            raise ValueError(f"collections nest deeper than {_MAX_VALUE_DEPTH} levels")
         return loader.construct_object(node, deep=True)
     except CONSTRUCT_ERRORS as exc:
         detail = getattr(exc, "problem", None) or exc
@@ -284,6 +290,32 @@ def _expanded_size(node, sizes: dict[int, int]) -> int:
                 size += _expanded_size(key_node, sizes) + _expanded_size(value_node, sizes)
         sizes[id(node)] = size
     return size
+
+
+def _nests_too_deeply(node) -> bool:
+    """Whether the value built from ``node`` nests collections deeper than
+    _MAX_VALUE_DEPTH.
+
+    The walk goes one level of collections at a time and holds each node once
+    per level, so an aliased node costs one visit per level it appears on.
+    """
+    level = [node]
+    for _ in range(_MAX_VALUE_DEPTH):
+        below = {}
+        for parent in level:
+            if isinstance(parent, yaml.SequenceNode):
+                children = parent.value
+            elif isinstance(parent, yaml.MappingNode):
+                children = chain.from_iterable(parent.value)
+            else:
+                continue
+            for child in children:
+                if isinstance(child, yaml.CollectionNode):
+                    below[id(child)] = child
+        if not below:
+            return False
+        level = below.values()
+    return True
 
 
 # Texts the item cut does not handle: an anchor may be defined in one item and
@@ -381,7 +413,9 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
         if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
             return None
         # The cut hands out no text that defines an anchor.
-        return _task_from_node(node, loader, item.splitlines(), directives, False)
+        return _task_from_node(
+            node, loader, item.splitlines(), directives, False, _may_nest_deeply(item)
+        )
     except TaskParseError:
         return None
     finally:
@@ -470,7 +504,7 @@ def _dedent_task_lines(lines: list[str], indent: int) -> list[str]:
 
 
 def _task_from_node(
-    node, loader, text_lines: list[str], directives: frozenset[str], anchored: bool
+    node, loader, text_lines: list[str], directives: frozenset[str], anchored: bool, deep: bool
 ) -> AnsibleTask:
     if not isinstance(node, yaml.MappingNode):
         raise NotATaskShape("task entry is not a mapping")
@@ -494,7 +528,7 @@ def _task_from_node(
             raise NotATaskShape("task keys must be strings")
 
         if key == "name":
-            value = _construct(loader, value_node, anchored)
+            value = _construct(loader, value_node, anchored, deep)
             name = "" if value is None else str(value)
             lo = key_node.start_mark.line - start
             _, hi_end = _node_line_span(value_node, text_lines)
@@ -502,12 +536,12 @@ def _task_from_node(
             continue
         if key in directives:
             stored = "tags" if key == "tag" else key
-            directive_map[stored] = _construct(loader, value_node, anchored)
+            directive_map[stored] = _construct(loader, value_node, anchored, deep)
             continue
         if module is not None:
             raise NotATaskShape(f"second module key {key!r} next to {module}")
         module = parse_module_name(key)
-        body = _construct(loader, value_node, anchored)
+        body = _construct(loader, value_node, anchored, deep)
         if body is None:
             options = {}
         elif isinstance(body, dict):

@@ -131,7 +131,7 @@ def test_criterion_3_gestalt_oracle_equivalence(check):
         matched = sum(length for (_, _, length) in want)
         total = len(a) + len(b)
         want_ratio = 1.0 if total == 0 else 2.0 * matched / total
-        if got != want or similarity_ratio(a, b).value != want_ratio:
+        if got != want or similarity_ratio(a, b) != want_ratio:
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 60.0

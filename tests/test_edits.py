@@ -25,6 +25,12 @@ from tasklens.gestalt import similarity_ratio
 from tasklens.taskparse import AnsibleTask, NotATaskShape, parse_tasks
 
 UTC = timezone.utc
+CONFIG = Config()
+FLOOR = CONFIG.rename_match_floor
+
+
+def new_cache(config=CONFIG):
+    return TaskCache(config.directive_keys)
 
 SHOWN = """\
 ansible.builtin.copy:
@@ -76,7 +82,7 @@ class TestPairOutcomes:
                 ("content", {"document": doc}),
             ]
         )
-        result = pair_outcomes(timeline)
+        result = pair_outcomes(timeline, CONFIG, new_cache())
         (outcome,) = result.outcomes
         assert outcome.decision is UserAction.ACCEPTED
         assert outcome.committed_doc == doc
@@ -90,18 +96,18 @@ class TestPairOutcomes:
                 ("content", {"document": "x: 1"}),
             ]
         )
-        (outcome,) = pair_outcomes(timeline).outcomes
+        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
         assert outcome.decision is UserAction.REJECTED
         assert outcome.committed_doc is None
-        classified = classify_outcome(outcome)
+        classified = classify_outcome(outcome, CONFIG, new_cache())
         assert classified.category is Category.REJECTED
         assert classified.edit_fraction is None
 
     def test_no_action_means_ignored(self):
         timeline = timeline_from([("suggestion", suggestion_fields("s1", SHOWN))])
-        (outcome,) = pair_outcomes(timeline).outcomes
+        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
         assert outcome.decision is UserAction.IGNORED
-        assert classify_outcome(outcome).category is Category.IGNORED
+        assert classify_outcome(outcome, CONFIG, new_cache()).category is Category.IGNORED
 
     def test_accept_without_content_is_unresolved(self):
         timeline = timeline_from(
@@ -110,8 +116,8 @@ class TestPairOutcomes:
                 ("action", {"suggestion_id": "s1", "action": "accepted"}),
             ]
         )
-        (outcome,) = pair_outcomes(timeline).outcomes
-        assert classify_outcome(outcome).category is Category.UNRESOLVED
+        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
+        assert classify_outcome(outcome, CONFIG, new_cache()).category is Category.UNRESOLVED
 
     def test_orphan_actions_counted(self):
         timeline = timeline_from(
@@ -121,13 +127,13 @@ class TestPairOutcomes:
                 ("action", {"suggestion_id": "ghost", "action": "accepted"}),
             ]
         )
-        assert pair_outcomes(timeline).orphan_actions == 1
+        assert pair_outcomes(timeline, CONFIG, new_cache()).orphan_actions == 1
 
     def test_unparseable_suggestion_counted_and_skipped(self):
         timeline = timeline_from(
             [("suggestion", suggestion_fields("s1", "not a task at all"))]
         )
-        result = pair_outcomes(timeline)
+        result = pair_outcomes(timeline, CONFIG, new_cache())
         assert result.outcomes == []
         assert result.unparseable_suggestions == 1
 
@@ -141,7 +147,7 @@ class TestPairOutcomes:
                 ("content", {"document": doc}),
             ]
         )
-        (outcome,) = pair_outcomes(timeline).outcomes
+        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
         assert outcome.committed_doc == doc
 
 
@@ -179,7 +185,7 @@ def unpruned_match(shown, doc_tasks, rename_match_floor):
     shown_lines = [line.rstrip() for line in shown.raw_lines]
     best, best_ratio = None, 0.0
     for task in doc_tasks:
-        ratio = similarity_ratio(shown_lines, [line.rstrip() for line in task.raw_lines]).value
+        ratio = similarity_ratio(shown_lines, [line.rstrip() for line in task.raw_lines])
         if ratio > best_ratio:
             best, best_ratio = task, ratio
     if best is not None and best_ratio >= rename_match_floor:
@@ -193,24 +199,24 @@ class TestMatchCommittedTask:
         doc = parse_tasks(
             doc_with("other task", SHOWN) + "\n" + doc_with("deploy app config", _replace_line(SHOWN, 1, "  src: changed"))
         )
-        match = match_committed_task(shown, doc)
+        match = match_committed_task(shown, doc, FLOOR)
         assert match.name == "deploy app config"
 
     def test_rename_falls_back_to_best_ratio(self):
         shown = parse_tasks(SHOWN)[0].with_name("old name")
         doc = parse_tasks(doc_with("new name", _replace_line(SHOWN, 1, "  src: changed")))
-        match = match_committed_task(shown, doc)
+        match = match_committed_task(shown, doc, FLOOR)
         assert match is not None and match.name == "new name"
 
     def test_below_floor_is_no_match(self):
         shown = parse_tasks(SHOWN)[0].with_name("old name")
         other = "ansible.builtin.service:\n  enabled: true\n  daemon_reload: true"
         doc = parse_tasks(doc_with("new name", other))
-        assert match_committed_task(shown, doc) is None
+        assert match_committed_task(shown, doc, FLOOR) is None
 
     def test_empty_document_is_no_match(self):
         shown = parse_tasks(SHOWN)[0]
-        assert match_committed_task(shown, ()) is None
+        assert match_committed_task(shown, (), FLOOR) is None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -233,7 +239,7 @@ class TestMatchCommittedTask:
         monkeypatch.setattr(edits, "similarity_ratio", counting)
         shown = match_task(["a", "b", "c"])
         doc = [match_task(["x", "y"]), match_task(["a", "b", "c "]), match_task(["a", "b", "x"])]
-        assert match_committed_task(shown, doc) is doc[1]
+        assert match_committed_task(shown, doc, FLOOR) is doc[1]
         assert calls == [["a", "b", "c"]]
 
 
@@ -252,8 +258,8 @@ def classify(shown_text, doc_text, name="deploy app config", config=None):
             ("content", {"document": doc_text}),
         ]
     )
-    config = config or Config()
-    cache = TaskCache(config.directive_keys)
+    config = config or CONFIG
+    cache = new_cache(config)
     (outcome,) = pair_outcomes(timeline, config, cache).outcomes
     return classify_outcome(outcome, config, cache)
 
@@ -334,7 +340,7 @@ class TestClassifyOutcome:
         )
         outcome = classify(SHOWN, doc)
         assert outcome.category is Category.FULLY_ACCEPTED
-        assert outcome.committed_task.body_lines() == SHOWN.splitlines()
+        assert outcome.committed_task.body_lines == SHOWN.splitlines()
 
     @pytest.mark.parametrize("body", ["src: &a [*a]", "src: !!python/name:os.system"])
     def test_unconstructable_document_is_unresolved(self, body):
@@ -400,31 +406,31 @@ class TestModuleEditTags:
     def test_fqcn_shortened(self):
         shown = options_task("ansible.builtin.debug", {"msg": "a"})
         committed = options_task("debug", {"msg": "a"})
-        assert module_edit_tags(shown, committed) == {ModuleEditTag.FQCN_SHORTENED}
+        assert module_edit_tags(shown, committed, CONFIG) == {ModuleEditTag.FQCN_SHORTENED}
 
     def test_command_to_shell(self):
         shown = options_task("ansible.builtin.command", {"cmd": "ls"})
         committed = options_task("ansible.builtin.shell", {"cmd": "ls"})
-        assert module_edit_tags(shown, committed) == {ModuleEditTag.COMMAND_SHELL}
+        assert module_edit_tags(shown, committed, CONFIG) == {ModuleEditTag.COMMAND_SHELL}
 
     def test_similar_module_from_config(self):
         config = Config(similar_modules=(frozenset({"yum", "dnf", "package"}),))
         shown = options_task("ansible.builtin.yum", {"name": "x"})
         committed = options_task("ansible.builtin.dnf", {"name": "x"})
         assert module_edit_tags(shown, committed, config) == {ModuleEditTag.SIMILAR_MODULE}
-        assert module_edit_tags(shown, committed) == {ModuleEditTag.OTHER}
+        assert module_edit_tags(shown, committed, CONFIG) == {ModuleEditTag.OTHER}
 
     def test_reorganization_via_added_directive(self):
         shown = options_task("ansible.builtin.copy", {"src": "x"})
         (committed,) = parse_tasks(
             "- ansible.builtin.file:\n    src: x\n  register: out\n"
         )
-        assert module_edit_tags(shown, committed) == {ModuleEditTag.REORGANIZATION}
+        assert module_edit_tags(shown, committed, CONFIG) == {ModuleEditTag.REORGANIZATION}
 
     def test_fqcn_and_reorganization_overlap(self):
         shown = options_task("ansible.builtin.debug", {"msg": "a"})
         (committed,) = parse_tasks("- debug:\n    msg: a\n  register: out\n")
-        assert module_edit_tags(shown, committed) == {
+        assert module_edit_tags(shown, committed, CONFIG) == {
             ModuleEditTag.FQCN_SHORTENED,
             ModuleEditTag.REORGANIZATION,
         }
@@ -432,7 +438,7 @@ class TestModuleEditTags:
     def test_other_only_when_nothing_else_fires(self):
         shown = options_task("ansible.builtin.lineinfile", {"path": "x"})
         committed = options_task("ansible.builtin.blockinfile", {"path": "x"})
-        assert module_edit_tags(shown, committed) == {ModuleEditTag.OTHER}
+        assert module_edit_tags(shown, committed, CONFIG) == {ModuleEditTag.OTHER}
 
 
 class TestTaskCache:
@@ -443,7 +449,7 @@ class TestTaskCache:
             "    - name: u\n      debug:\n        msg: ho\n"
         )
         custom = TaskCache(("name", "takeover"))
-        default = TaskCache(Config().directive_keys)
+        default = new_cache()
         first, second = custom.parse(doc)
         assert first.directives == {"takeover": True}
         # the default keys read 'takeover' as a second module key
@@ -475,7 +481,7 @@ class TestAnalyzeTimeline:
         )
 
     def test_categories_partition_accepted(self):
-        analysis = analyze_timeline(self._mixed_timeline())
+        analysis = analyze_timeline(self._mixed_timeline(), CONFIG, new_cache())
         categories = [o.category for o in analysis.outcomes]
         assert categories.count(Category.FULLY_ACCEPTED) == 1
         assert categories.count(Category.MINOR_EDIT) == 1
@@ -483,8 +489,8 @@ class TestAnalyzeTimeline:
 
     def test_deterministic_across_runs(self):
         timeline = self._mixed_timeline()
-        first = analyze_timeline(timeline)
-        second = analyze_timeline(timeline)
+        first = analyze_timeline(timeline, CONFIG, new_cache())
+        second = analyze_timeline(timeline, CONFIG, new_cache())
         assert [
             (o.suggestion_id, o.category, o.edit_fraction) for o in first.outcomes
         ] == [(o.suggestion_id, o.category, o.edit_fraction) for o in second.outcomes]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasklens.events import (
+    MAX_JSON_DEPTH,
     ActionEvent,
     BadFieldValue,
     BadTimestamp,
@@ -577,6 +578,28 @@ def test_deeply_nested_json_is_malformed():
     line = "[" * 100_000 + "]" * 100_000
     with pytest.raises(MalformedJson):
         parse_event_line(line)
+
+
+def under_frames(frames, fn):
+    """fn() called ``frames`` Python frames deeper than the caller."""
+    return fn() if frames == 0 else under_frames(frames - 1, fn)
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1, 900, 5000])
+def test_nesting_verdict_does_not_depend_on_the_stack(depth):
+    # A valid completion line whose ignored extra field nests it ``depth`` levels deep.
+    line = completion_line()[:-1] + ', "extra": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+    def verdict():
+        try:
+            parse_event_line(line)
+        except MalformedJson as exc:
+            return str(exc)
+        return "valid"
+
+    expected = "valid" if depth <= MAX_JSON_DEPTH else "invalid JSON: nested too deeply"
+    assert verdict() == expected
+    assert under_frames(500, verdict) == expected
 
 
 def test_read_events_counts_invalid_utf8_lines_as_malformed(tmp_path):

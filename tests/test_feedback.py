@@ -3,13 +3,8 @@ import random
 
 import pytest
 
-from tasklens.events import parse_event_line
-from tasklens.feedback import (
-    NEGATIVE,
-    POSITIVE,
-    label_distribution,
-    summarize_feedback,
-)
+from tasklens.events import FeedbackEvent, parse_event_line
+from tasklens.feedback import FeedbackSummary, LabelDistribution, summarize_feedback
 
 
 def feedback_event(i, stars, label=None):
@@ -80,7 +75,7 @@ class TestLabelDistribution:
                 (2, "not_informative", 1204),
             ]
         )
-        dist = label_distribution(events, NEGATIVE)
+        dist = summarize_feedback(events).negative_labels
         assert dist.labeled == 10003
         assert 100 * dist.shares["cannot_get_to_work"] == pytest.approx(66.49, abs=0.05)
         assert 100 * dist.shares["poor_suggestions"] == pytest.approx(15.71, abs=0.05)
@@ -96,7 +91,7 @@ class TestLabelDistribution:
                 (4, "general", 39),
             ]
         )
-        dist = label_distribution(events, POSITIVE)
+        dist = summarize_feedback(events).positive_labels
         assert 100 * dist.shares["productivity"] == pytest.approx(42.7, abs=0.05)
         assert 100 * dist.shares["accuracy"] == pytest.approx(33.7, abs=0.05)
         assert 100 * dist.shares["ease_of_use"] == pytest.approx(19.7, abs=0.05)
@@ -104,22 +99,19 @@ class TestLabelDistribution:
 
     def test_single_label_is_total(self):
         events = events_from(labeled=[(1, "slow", 1)])
-        assert label_distribution(events, NEGATIVE).shares == {"slow": 1.0}
+        assert summarize_feedback(events).negative_labels.shares == {"slow": 1.0}
 
     def test_unlabeled_counted_not_dropped(self):
         events = events_from(star_counts={1: 4}, labeled=[(2, "bug", 6)])
-        dist = label_distribution(events, NEGATIVE)
+        dist = summarize_feedback(events).negative_labels
         assert dist.unlabeled == 4
         assert dist.labeled == 6
 
     def test_three_star_excluded_from_both(self):
         events = events_from(labeled=[(3, "meh", 5)])
-        assert label_distribution(events, NEGATIVE).labeled == 0
-        assert label_distribution(events, POSITIVE).labeled == 0
-
-    def test_polarity_validation(self):
-        with pytest.raises(ValueError):
-            label_distribution([], "lukewarm")
+        summary = summarize_feedback(events)
+        assert summary.negative_labels.labeled == 0
+        assert summary.positive_labels.labeled == 0
 
     def test_shares_sum_to_one_per_polarity(self):
         rng = random.Random(9)
@@ -127,9 +119,9 @@ class TestLabelDistribution:
             (rng.choice([1, 2]), f"n{j}", rng.randrange(1, 30)) for j in range(5)
         ] + [(rng.choice([4, 5]), f"p{j}", rng.randrange(1, 30)) for j in range(4)]
         events = events_from(labeled=labeled)
-        for polarity in (NEGATIVE, POSITIVE):
-            shares = label_distribution(events, polarity).shares
-            assert sum(shares.values()) == pytest.approx(1.0)
+        summary = summarize_feedback(events)
+        for dist in (summary.negative_labels, summary.positive_labels):
+            assert sum(dist.shares.values()) == pytest.approx(1.0)
 
 
 def test_summarize_feedback_combines_everything():
@@ -142,3 +134,80 @@ def test_summarize_feedback_combines_everything():
     assert summary.negative_labels.counts == {"broken": 3}
     assert summary.positive_labels.counts == {"fast": 4}
     assert summary.neutral_share == pytest.approx(2 / 9)
+
+
+def label_distribution(events, star_values):
+    """The per-polarity pass summarize_feedback replaced: one polarity's labels."""
+    counts = {}
+    unlabeled = 0
+    for event in events:
+        if type(event) is not FeedbackEvent or event.stars not in star_values:
+            continue
+        label = event.sentiment_label
+        if label is None:
+            unlabeled += 1
+        else:
+            counts[label] = counts.get(label, 0) + 1
+    labeled = sum(counts.values())
+    shares = {label: counts[label] / labeled for label in sorted(counts)} if labeled else {}
+    return LabelDistribution(
+        counts={label: counts[label] for label in sorted(counts)},
+        shares=shares,
+        labeled=labeled,
+        unlabeled=unlabeled,
+    )
+
+
+def per_section_oracle(events):
+    """summarize_feedback as separate passes: a filtered copy, the histogram,
+    then one pass per polarity."""
+    feedback = [e for e in events if type(e) is FeedbackEvent]
+    histogram = {stars: 0 for stars in range(1, 6)}
+    for event in feedback:
+        histogram[event.stars] += 1
+    divisor = len(feedback) or 1
+    return FeedbackSummary(
+        total=len(feedback),
+        star_histogram=histogram,
+        satisfied_share=(histogram[4] + histogram[5]) / divisor,
+        neutral_share=histogram[3] / divisor,
+        dissatisfied_share=(histogram[1] + histogram[2]) / divisor,
+        positive_labels=label_distribution(feedback, (4, 5)),
+        negative_labels=label_distribution(feedback, (1, 2)),
+    )
+
+
+def other_event(i, kind):
+    fields = {
+        "completion": {"suggestion_id": f"s{i}", "prompt": "p", "context": ""},
+        "action": {"suggestion_id": f"s{i}", "action": "accepted"},
+        "content": {"document": "- debug:\n    msg: hi\n"},
+    }[kind]
+    return parse_event_line(json.dumps({
+        "event_id": f"o{i}", "user_id": "u", "ts": "2023-06-01T10:00:00+00:00",
+        "type": kind, **fields,
+    }))
+
+
+def test_one_pass_matches_per_section_oracle():
+    # "both" labels comments of either polarity; None leaves a comment unlabeled.
+    labels = [None, None, "both", "slow", "fast", "broken"]
+    rng = random.Random(17)
+    for case in range(300):
+        events = []
+        for i in range(rng.randrange(40)):
+            if rng.random() < 0.3:
+                events.append(other_event(i, rng.choice(["completion", "action", "content"])))
+            else:
+                events.append(feedback_event(i, rng.randrange(1, 6), rng.choice(labels)))
+        summary = summarize_feedback(iter(events))
+        want = per_section_oracle(events)
+        assert summary == want, case
+        # Equal dicts may differ in order, which the rendered report keeps.
+        for got, expected in (
+            (summary.positive_labels, want.positive_labels),
+            (summary.negative_labels, want.negative_labels),
+        ):
+            assert list(got.counts) == list(expected.counts)
+            assert list(got.shares) == list(expected.shares)
+        assert list(summary.star_histogram) == [1, 2, 3, 4, 5]

@@ -9,44 +9,47 @@ from tasklens.gestalt import (
     MatchBudgetExceeded,
     MatchingBlock,
     edit_fraction,
-    find_longest_match,
     matching_blocks,
     similarity_ratio,
 )
 
-from gestalt_oracle import brute_blocks, brute_ratio
+from gestalt_oracle import brute_blocks, brute_longest_block, brute_ratio
 
 
 def blocks_as_tuples(a, b):
     return [(blk.a_start, blk.b_start, blk.length) for blk in matching_blocks(a, b)]
 
 
-class TestFindLongestMatch:
+def longest_block(a, b):
+    """The oracle's first choice over the whole of both sequences: (length, a_start, b_start)."""
+    return brute_longest_block(a, b, 0, len(a), 0, len(b))
+
+
+class TestLongestBlock:
     def test_tie_broken_by_lowest_a_start(self):
         # "ab" and "cd" both have length 2; "ab" wins on a_start
-        block = find_longest_match(list("abxcd"), list("abcd"))
-        assert block == MatchingBlock(0, 0, 2)
+        a, b = list("abxcd"), list("abcd")
+        assert longest_block(a, b) == (2, 0, 0)
+        assert matching_blocks(a, b)[0] == MatchingBlock(0, 0, 2)
+        # "ab" twice in a: the flanks of the later one would find the other
+        a, b = list("abxab"), list("ab")
+        assert longest_block(a, b) == (2, 0, 0)
+        assert matching_blocks(a, b) == [MatchingBlock(0, 0, 2)]
 
     def test_identity(self):
         a = list("abcdef")
-        assert find_longest_match(a, a) == MatchingBlock(0, 0, 6)
+        assert longest_block(a, a) == (6, 0, 0)
+        assert matching_blocks(a, a) == [MatchingBlock(0, 0, 6)]
 
     def test_disjoint_alphabets(self):
-        assert find_longest_match(list("abc"), list("xyz")) is None
-
-    def test_subranges(self):
-        a = list("abxcd")
-        b = list("abcd")
-        assert find_longest_match(a, b, (2, 5), (2, 4)) == MatchingBlock(3, 2, 2)
+        assert longest_block(list("abc"), list("xyz")) is None
+        assert matching_blocks(list("abc"), list("xyz")) == []
 
     def test_tie_broken_by_lowest_b_start(self):
         # block 'ab' appears twice in b; earliest b offset wins
-        block = find_longest_match(list("ab"), list("xabyab"))
-        assert block == MatchingBlock(0, 1, 2)
-
-    def test_range_bounds_checked(self):
-        with pytest.raises(IndexError):
-            find_longest_match(list("ab"), list("ab"), (0, 3), (0, 2))
+        a, b = list("ab"), list("xabyab")
+        assert longest_block(a, b) == (2, 0, 1)
+        assert matching_blocks(a, b) == [MatchingBlock(0, 1, 2)]
 
 
 class TestMatchingBlocks:
@@ -68,8 +71,9 @@ class TestMatchingBlocks:
             for earlier, later in zip(blocks, blocks[1:]):
                 assert earlier.a_start + earlier.length <= later.a_start
                 assert earlier.b_start + earlier.length <= later.b_start
-            ratio = similarity_ratio(a, b)
-            assert ratio.matched_total == sum(blk.length for blk in blocks)
+            matched = sum(blk.length for blk in blocks)
+            total = len(a) + len(b)
+            assert similarity_ratio(a, b) == (2.0 * matched / total if total else 1.0)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(99)
@@ -77,7 +81,7 @@ class TestMatchingBlocks:
             a = [rng.randrange(4) for _ in range(rng.randrange(13))]
             b = [rng.randrange(4) for _ in range(rng.randrange(13))]
             assert blocks_as_tuples(a, b) == brute_blocks(a, b)
-            assert similarity_ratio(a, b).value == brute_ratio(a, b)
+            assert similarity_ratio(a, b) == brute_ratio(a, b)
 
 
     def test_matches_brute_force_oracle_on_long_repetitive_inputs(self):
@@ -91,7 +95,7 @@ class TestMatchingBlocks:
                 b = [x if rng.random() < 0.8 else rng.randrange(alphabet) for x in a]
                 b = b[:40]
             assert blocks_as_tuples(a, b) == brute_blocks(a, b)
-            assert similarity_ratio(a, b).value == brute_ratio(a, b)
+            assert similarity_ratio(a, b) == brute_ratio(a, b)
 
 
 def alternating_edit(n):
@@ -112,7 +116,7 @@ class TestScale:
             ratio = similarity_ratio(shown, committed)
         finally:
             sys.setrecursionlimit(limit)
-        assert ratio.matched_total == 300
+        assert ratio == 2.0 * 300 / 1200
 
     def test_large_alternating_edit_is_fast(self):
         shown, committed = alternating_edit(1000)
@@ -135,7 +139,7 @@ class TestScale:
         # 4 lines vs 4 lines, 2 equal pairs: (4 + 2) * (min(4, 4, 2) + 1) = 18.
         a, b = ["x", "p", "q", "r"], ["x", "x", "s", "t"]
         monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 18)
-        assert similarity_ratio(a, b).matched_total == 1
+        assert similarity_ratio(a, b) == 2.0 * 1 / 8
         monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 17)
         with pytest.raises(MatchBudgetExceeded):
             similarity_ratio(a, b)
@@ -156,25 +160,25 @@ class TestScale:
 
 class TestSimilarityRatio:
     def test_hand_traced_values(self):
-        r = similarity_ratio(list("abc"), list("ac"))
-        assert (r.matched_total, r.combined_length) == (2, 5)
-        assert r.value == pytest.approx(0.8)
+        a, b = list("abc"), list("ac")
+        assert sum(blk.length for blk in matching_blocks(a, b)) == 2
+        assert similarity_ratio(a, b) == pytest.approx(0.8)
 
-        r = similarity_ratio(list("abxcd"), list("abcd"))
-        assert (r.matched_total, r.combined_length) == (4, 9)
-        assert r.value == pytest.approx(8 / 9)
+        a, b = list("abxcd"), list("abcd")
+        assert sum(blk.length for blk in matching_blocks(a, b)) == 4
+        assert similarity_ratio(a, b) == pytest.approx(8 / 9)
 
     def test_boundary_values(self):
-        assert similarity_ratio(list("abc"), list("abc")).value == 1.0
-        assert similarity_ratio([], list("abc")).value == 0.0
-        assert similarity_ratio([], []).value == 1.0
+        assert similarity_ratio(list("abc"), list("abc")) == 1.0
+        assert similarity_ratio([], list("abc")) == 0.0
+        assert similarity_ratio([], []) == 1.0
 
     def test_ratio_one_iff_equal(self):
         rng = random.Random(11)
         for _ in range(300):
             a = [rng.randrange(3) for _ in range(rng.randrange(1, 10))]
             b = [rng.randrange(3) for _ in range(rng.randrange(1, 10))]
-            ratio = similarity_ratio(a, b).value
+            ratio = similarity_ratio(a, b)
             assert 0.0 <= ratio <= 1.0
             assert (ratio == 1.0) == (a == b)
 
@@ -183,10 +187,10 @@ class TestSimilarityRatio:
         for _ in range(300):
             a = [rng.randrange(4) for _ in range(rng.randrange(1, 13))]
             b = [rng.randrange(4) for _ in range(rng.randrange(1, 13))]
-            block = find_longest_match(a, b)
+            block = longest_block(a, b)
             if block is None:
                 continue
-            assert similarity_ratio(a, b).value >= 2 * block.length / (len(a) + len(b))
+            assert similarity_ratio(a, b) >= 2 * block[0] / (len(a) + len(b))
 
 
 class TestEditFraction:
@@ -204,4 +208,4 @@ class TestEditFraction:
 
     def test_complement_of_ratio(self):
         a, b = list("abxcd"), list("abcd")
-        assert edit_fraction(a, b) == pytest.approx(1 - similarity_ratio(a, b).value)
+        assert edit_fraction(a, b) == pytest.approx(1 - similarity_ratio(a, b))

@@ -389,7 +389,7 @@ def completion_events(day_counts):
 class TestTemporalProfile:
     def test_one_event_each_weekday(self):
         days = {date(2023, 6, 5) + timedelta(days=i): 1 for i in range(7)}  # Mon..Sun
-        profile = temporal_profile(completion_events(days))
+        profile = temporal_profile(completion_events(days), (min(days), max(days)))
         assert all(mean == 1.0 for mean in profile.weekday_means.values())
 
     def test_only_saturdays(self):
@@ -431,6 +431,6 @@ class TestTemporalProfile:
                  "type": "feedback", "stars": 5, "comment": "x"}
             )
         )
-        profile = temporal_profile([feedback])
+        profile = temporal_profile([feedback], (date(2023, 6, 5), date(2023, 6, 5)))
         assert profile.daily_counts == {}
-        assert profile.window is None
+        assert profile.weekday_means["Monday"] == 0.0

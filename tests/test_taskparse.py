@@ -16,7 +16,6 @@ from tasklens.taskparse import (
     TaskParseError,
     YamlSyntax,
     canonical,
-    canonical_options,
     parse_module_name,
     parse_tasks,
     short_name,
@@ -120,23 +119,23 @@ class TestParseTasks:
         fragment = parse_tasks(
             "ansible.builtin.yum:\n  name: nginx\n  state: present\n"
         )[0]
-        assert nested.body_lines() == fragment.body_lines()
+        assert nested.body_lines == fragment.body_lines
 
     def test_name_line_excluded_from_body(self):
         (task,) = parse_tasks(FIG1_STYLE)
         assert task.raw_lines[0] == "name: install nginx"
-        assert task.body_lines()[0] == "ansible.builtin.yum:"
+        assert task.body_lines[0] == "ansible.builtin.yum:"
 
     def test_option_named_name_stays_in_body(self):
         (task,) = parse_tasks(FIG1_STYLE)
         # the module option "name: nginx" must survive name-line removal
-        assert "  name: nginx" in task.body_lines()
+        assert "  name: nginx" in task.body_lines
 
     def test_multiline_name_span(self):
         text = "- name: >-\n    a very\n    long name\n  debug:\n    msg: hi\n"
         (task,) = parse_tasks(text)
         assert task.name == "a very long name"
-        assert task.body_lines() == ["debug:", "  msg: hi"]
+        assert task.body_lines == ["debug:", "  msg: hi"]
 
     def test_directive_keys_configurable(self):
         text = "- name: t\n  takeover: true\n  debug:\n    msg: hi\n"
@@ -176,7 +175,7 @@ class TestTaskParts:
     def test_nested_values_canonicalized(self):
         a = parse_tasks("- name: t\n  m:\n    opt: {x: 1, y: [a, b]}\n")[0]
         b = parse_tasks("- name: t\n  m:\n    opt: {y: [a, b], x: 1}\n")[0]
-        assert canonical_options(a) == canonical_options(b)
+        assert a.canonical_options == b.canonical_options
 
     def test_canonical_scalars(self):
         assert canonical(5.0) == canonical(5)
@@ -296,13 +295,57 @@ class TestUnconstructableValues:
             f"    c: {alias_chain(10)}\n"
         )
         assert task.options["b"] == {"mode": "0644"}
-        assert len(canonical_options(task)["c"][-1]) == 2
+        assert len(task.canonical_options["c"][-1]) == 2
 
     def test_large_value_without_aliases_is_built(self):
         # "&" makes the text one that may define anchors, so the size walk runs.
         big = "[" + ", ".join(["x"] * 20_000) + "]"
         (task,) = parse_tasks(f"- name: rock & roll\n  copy:\n    src: {big}\n")
         assert len(task.options["src"]) == 20_000
+
+
+def under_frames(frames, fn):
+    """fn() called ``frames`` Python frames deeper than the caller."""
+    return fn() if frames == 0 else under_frames(frames - 1, fn)
+
+
+def nested_value_task(shape, depth):
+    """A task whose module value nests ``depth`` collections deep: a mapping
+    holding flow lists or compact block sequences."""
+    if shape == "flow":
+        return f"- name: a\n  debug:\n    msg: {'[' * (depth - 1)}x{']' * (depth - 1)}\n"
+    return f"- name: a\n  debug:\n    msg:\n      {'- ' * (depth - 1)}x\n"
+
+
+class TestNestingCap:
+    CAP = taskparse._MAX_VALUE_DEPTH
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("memo", [False, True], ids=["whole", "memo"])
+    @pytest.mark.parametrize("shape", ["flow", "block"])
+    @pytest.mark.parametrize("depth", [CAP, CAP + 1, 150, 200, 900])
+    def test_verdict_does_not_depend_on_the_stack(self, monkeypatch, loader, memo, shape, depth):
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        text = nested_value_task(shape, depth)
+
+        def verdict():
+            try:
+                parse_tasks(text, memo={} if memo else None, skeletons={} if memo else None)
+            except TaskParseError:
+                return "unparseable"
+            return "parses"
+
+        expected = "parses" if depth <= self.CAP else "unparseable"
+        assert verdict() == expected
+        assert under_frames(500, verdict) == expected
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("memo", [False, True], ids=["whole", "memo"])
+    @pytest.mark.parametrize("shape", ["flow", "block"])
+    def test_value_past_the_cap_is_a_bad_value(self, monkeypatch, loader, memo, shape):
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        with pytest.raises(BadYamlValue):
+            parse_tasks(nested_value_task(shape, self.CAP + 1), memo={} if memo else None)
 
 
 # A fuzzed text is lines of an indent, an optional dash, an optional key and

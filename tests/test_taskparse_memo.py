@@ -7,22 +7,28 @@ whole-document parse (anchors and aliases, items with a ``tasks`` key, broken
 items, tabs, directives).  Each playbook is also parsed as a growing series of
 snapshots through one memo, the way TaskCache sees a user's edits.  The same
 playbooks check that a skeleton with one placeholder gets the verdict that
-one placeholder per item would.
+one placeholder per item would.  Both properties run under each loader,
+with libyaml and without.
 """
 
+from unittest import mock
+
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tasklens import taskparse
 from tasklens.taskparse import (
     TaskParseError,
     _collect_task_nodes,
     _compose,
     _cut_task_list,
-    _Loader,
     _skeleton_holds,
     parse_tasks,
 )
+
+LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
 
 WORDS = st.sampled_from(["alpha", "nginx", "db-01", "yes", "0644", "3.5", "null", "x y"])
 MODULES = st.sampled_from(
@@ -149,15 +155,17 @@ def _outcome(text, memo=None):
         return type(exc)
 
 
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(playbooks())
-def test_memo_matches_whole_document_parse(playbook):
+@given(playbook=playbooks())
+def test_memo_matches_whole_document_parse(loader, playbook):
     head, items, tail, ending = playbook
     memo = {}
-    for count in range(1, len(items) + 1):
-        lines = head + [line for item in items[:count] for line in item] + tail
-        text = "\n".join(lines) + ending
-        assert _outcome(text, memo) == _outcome(text)
+    with mock.patch.object(taskparse, "_Loader", loader):
+        for count in range(1, len(items) + 1):
+            lines = head + [line for item in items[:count] for line in item] + tail
+            text = "\n".join(lines) + ending
+            assert _outcome(text, memo) == _outcome(text)
 
 
 def _placeholders_hold(skeleton, column, first_line, count):
@@ -166,7 +174,7 @@ def _placeholders_hold(skeleton, column, first_line, count):
     lines = skeleton.split("\n")
     assert lines[first_line] == " " * column + "- {}"
     lines[first_line:first_line + 1] = [lines[first_line]] * count
-    loader = _Loader("\n".join(lines))
+    loader = taskparse._Loader("\n".join(lines))
     try:
         nodes = _collect_task_nodes(_compose(loader))
     except TaskParseError:
@@ -182,19 +190,23 @@ def _placeholders_hold(skeleton, column, first_line, count):
     )
 
 
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(playbooks())
-def test_one_placeholder_verdict_equals_one_per_item(playbook):
+@given(playbook=playbooks())
+def test_one_placeholder_verdict_equals_one_per_item(loader, playbook):
     head, items, tail, ending = playbook
-    for count in range(1, len(items) + 1):
-        text = "\n".join(head + [line for item in items[:count] for line in item] + tail) + ending
-        cut = _cut_task_list(text)
-        if cut is None:
-            continue
-        column, cut_items, skeleton, first_line = cut
-        verdict = _skeleton_holds(skeleton, column, first_line)
-        for placeholders in {len(cut_items), 3}:
-            assert _placeholders_hold(skeleton, column, first_line, placeholders) == verdict
+    with mock.patch.object(taskparse, "_Loader", loader):
+        for count in range(1, len(items) + 1):
+            text = "\n".join(
+                head + [line for item in items[:count] for line in item] + tail
+            ) + ending
+            cut = _cut_task_list(text)
+            if cut is None:
+                continue
+            column, cut_items, skeleton, first_line = cut
+            verdict = _skeleton_holds(skeleton, column, first_line)
+            for placeholders in {len(cut_items), 3}:
+                assert _placeholders_hold(skeleton, column, first_line, placeholders) == verdict
 
 
 def test_memo_reuses_items_across_snapshots():
