@@ -21,13 +21,7 @@ from .events import (
 from .gestalt import MatchBudgetExceeded
 from .gestalt import edit_fraction as gestalt_edit_fraction
 from .gestalt import similarity_ratio
-from .taskparse import (
-    AnsibleTask,
-    NotATaskShape,
-    TaskParseError,
-    parse_tasks,
-    short_name,
-)
+from .taskparse import AnsibleTask, TaskParseError, parse_tasks, short_name
 
 # Directive keys whose addition counts as YAML reorganization.
 REORG_DIRECTIVE_KEYS = frozenset({"block", "tags", "register", "loop", "become"})
@@ -90,53 +84,48 @@ class PairingResult:
 class TaskCache:
     """Memoizes parse_tasks per exact text; telemetry repeats texts heavily.
 
-    It also owns the memos that parse_tasks fills on each miss: the per-item
-    memo, so a snapshot that repeats an earlier snapshot's tasks parses only
-    its new ones, and the skeleton verdicts, so snapshots that differ only in
-    their tasks check the rest of the document once.  Item entries hold only
-    for this cache's directive keys.
+    A text that does not parse is kept as None: the cache holds results only,
+    never an error object.  It also owns the memos that parse_tasks fills on
+    each miss: the per-item memo, so a snapshot that repeats an earlier
+    snapshot's tasks parses only its new ones, and the skeleton verdicts, so
+    snapshots that differ only in their tasks check the rest of the document
+    once.  Item entries hold only for this cache's directive keys.
     """
 
     def __init__(self, directive_keys: tuple[str, ...]):
         self._directive_keys = directive_keys
-        self._hits: dict[str, tuple[AnsibleTask, ...] | TaskParseError] = {}
+        self._hits: dict[str, tuple[AnsibleTask, ...] | None] = {}
         self._items: dict[str, AnsibleTask | None] = {}
         self._skeletons: dict[tuple[str, int, int], bool] = {}
-        self._shown: dict[tuple[str, str | None], AnsibleTask | TaskParseError] = {}
+        self._shown: dict[tuple[str, str | None], AnsibleTask | None] = {}
 
-    def parse(self, text: str) -> tuple[AnsibleTask, ...]:
-        cached = self._hits.get(text)
-        if cached is None:
-            try:
-                cached = tuple(
-                    parse_tasks(text, self._directive_keys, self._items, self._skeletons)
-                )
-            except TaskParseError as exc:
-                cached = exc
-            self._hits[text] = cached
-        if isinstance(cached, TaskParseError):
-            raise cached
-        return cached
+    def parse(self, text: str) -> tuple[AnsibleTask, ...] | None:
+        """The tasks of ``text``, or None when it does not parse."""
+        try:
+            return self._hits[text]
+        except KeyError:
+            pass
+        try:
+            tasks = tuple(parse_tasks(text, self._directive_keys, self._items, self._skeletons))
+        except TaskParseError:
+            tasks = None
+        self._hits[text] = tasks
+        return tasks
 
-    def shown_task(self, text: str, name: str | None) -> AnsibleTask:
-        """The single task of a suggestion text, with the prompt name attached."""
+    def shown_task(self, text: str, name: str | None) -> AnsibleTask | None:
+        """The single task of a suggestion text, with the prompt name attached;
+        None unless the text parses as exactly one task."""
         key = (text, name)
-        cached = self._shown.get(key)
-        if cached is None:
-            try:
-                tasks = self.parse(text)
-                if len(tasks) != 1:
-                    raise NotATaskShape("suggestion text must hold exactly one task")
-                task = tasks[0]
-                if task.name is None and name is not None:
-                    task = task.with_name(name)
-                cached = task
-            except TaskParseError as exc:
-                cached = exc
-            self._shown[key] = cached
-        if isinstance(cached, TaskParseError):
-            raise cached
-        return cached
+        try:
+            return self._shown[key]
+        except KeyError:
+            pass
+        tasks = self.parse(text)
+        task = tasks[0] if tasks is not None and len(tasks) == 1 else None
+        if task is not None and task.name is None and name is not None:
+            task = task.with_name(name)
+        self._shown[key] = task
+        return task
 
 
 def name_from_prompt(prompt: str) -> str | None:
@@ -182,9 +171,8 @@ def pair_outcomes(timeline: UserTimeline, config: Config, cache: TaskCache) -> P
     for sugg_idx, event in suggestions:
         prompt = prompts.get(event.suggestion_id)
         prompt_name = name_from_prompt(prompt) if prompt is not None else None
-        try:
-            shown = cache.shown_task(event.suggestion_text, prompt_name)
-        except TaskParseError:
+        shown = cache.shown_task(event.suggestion_text, prompt_name)
+        if shown is None:
             unparseable += 1
             continue
 
@@ -260,9 +248,8 @@ def classify_outcome(
     if outcome.committed_doc is None:
         outcome.category = Category.UNRESOLVED
         return outcome
-    try:
-        doc_tasks = cache.parse(outcome.committed_doc)
-    except TaskParseError:
+    doc_tasks = cache.parse(outcome.committed_doc)
+    if doc_tasks is None:
         outcome.category = Category.UNRESOLVED
         outcome.doc_unparseable = True
         return outcome

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
@@ -439,6 +440,20 @@ class UserTimeline:
         self.first_day = min(self.active_days)
 
 
+_USER_ID = attrgetter("user_id")
+
+
 def build_timelines(events: Iterable[RawEvent]) -> list[UserTimeline]:
-    """Partition deduplicated events into one timeline per user, user_id order."""
-    return [UserTimeline(user_id, user_events) for user_id, user_events in _by_user(events)]
+    """Split deduplicated events into one timeline per user, user_id order.
+
+    ``events`` must come in deduplicate's order: each user's events in one
+    run, in (instant, event_id) order, and the runs in user_id order.
+    Raises ValueError when the user ids of successive runs do not increase,
+    as when one user's events are split across runs.
+    """
+    timelines: list[UserTimeline] = []
+    for user_id, user_events in groupby(events, _USER_ID):
+        if timelines and user_id <= timelines[-1].user_id:
+            raise ValueError(f"events of user {user_id!r} are not in user_id order")
+        timelines.append(UserTimeline(user_id, list(user_events)))
+    return timelines

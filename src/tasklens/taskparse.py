@@ -177,7 +177,7 @@ def canonical(value: Any) -> Any:
 
 def parse_tasks(
     text: str,
-    directive_keys: Iterable[str] | None = None,
+    directive_keys: Iterable[str],
     memo: dict[str, AnsibleTask | None] | None = None,
     skeletons: dict[tuple[str, int, int], bool] | None = None,
 ) -> list[AnsibleTask]:
@@ -189,14 +189,12 @@ def parse_tasks(
     ``memo`` maps the exact text of a task-list item to its parsed task (None
     when the item does not parse alone).  Pass the same dict only together
     with the same ``directive_keys``.  ``skeletons`` keeps the verdicts on the
-    rest of each document across calls; it is used only with ``memo``.  The
-    result depends on neither.
+    rest of each document across calls; it is required whenever ``memo`` is
+    given.  The result depends on neither.
     """
-    directives = frozenset(directive_keys) if directive_keys is not None else frozenset(
-        DEFAULT_DIRECTIVE_KEYS
-    )
+    directives = frozenset(directive_keys)
     if memo is not None:
-        tasks = _parse_by_item(text, directives, memo, {} if skeletons is None else skeletons)
+        tasks = _parse_by_item(text, directives, memo, skeletons)
         if tasks is not None:
             return tasks
     # libyaml accepts some tabs that the pure-Python loader refuses; one
@@ -210,9 +208,9 @@ def parse_tasks(
             return []
         text_lines = text.splitlines()
         task_nodes = _collect_task_nodes(root)
-        anchored, deep = "&" in text, _may_nest_deeply(text)
+        guarded = _guarded(text)
         return [
-            _task_from_node(node, loader, text_lines, directives, anchored, deep)
+            _task_from_node(node, loader, text_lines, directives, guarded)
             for node in task_nodes
         ]
     finally:
@@ -245,77 +243,59 @@ _MAX_VALUE_DEPTH = 64
 _COLLECTION_CHARS = "[{-:?"
 
 
-def _may_nest_deeply(text: str) -> bool:
-    """False when ``text`` has too few collection characters, those in scalars
-    included, to nest any value deeper than _MAX_VALUE_DEPTH.  Through aliases
-    a path meets each node at most once, unless the alias is recursive, which
-    construction refuses."""
-    return sum(map(text.count, _COLLECTION_CHARS)) > _MAX_VALUE_DEPTH
+def _guarded(text: str) -> bool:
+    """False when ``text`` can hold no hostile value: it defines no anchor,
+    without which no node is an alias and a value's size is its node count,
+    and it has too few collection characters, those in scalars included, to
+    nest any value deeper than _MAX_VALUE_DEPTH."""
+    return "&" in text or sum(map(text.count, _COLLECTION_CHARS)) > _MAX_VALUE_DEPTH
 
 
-def _construct(loader, node, anchored: bool, deep: bool) -> Any:
-    """The value of ``node``; ``anchored`` says whether the text defines an
-    anchor, without which no node can be an alias, and ``deep`` whether it
-    may nest a value too deeply (see _may_nest_deeply)."""
+def _construct(loader, node, guarded: bool) -> Any:
+    """The value of ``node``; ``guarded`` says whether the text may hold a
+    hostile value (see _guarded), which _check_value then refuses."""
     try:
-        if anchored:
-            sizes: dict[int, int] = {}
-            if _expanded_size(node, sizes) > max(_MAX_EXPANDED_NODES, len(sizes)):
-                raise ValueError(f"aliases expand it beyond {_MAX_EXPANDED_NODES} nodes")
-        if deep and _nests_too_deeply(node):
-            raise ValueError(f"collections nest deeper than {_MAX_VALUE_DEPTH} levels")
+        if guarded:
+            _check_value(node)
         return loader.construct_object(node, deep=True)
     except CONSTRUCT_ERRORS as exc:
         detail = getattr(exc, "problem", None) or exc
         raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
 
 
-def _expanded_size(node, sizes: dict[int, int]) -> int:
-    """Nodes in the value built from ``node``, counting an aliased node at each use.
+def _check_value(node) -> None:
+    """Raise ValueError when the value built from ``node`` nests collections
+    deeper than _MAX_VALUE_DEPTH, or when its aliases expand it beyond
+    max(_MAX_EXPANDED_NODES, its distinct nodes).
 
-    ``sizes`` memoizes by node identity, so the walk visits each distinct node
-    once; its length is then the number of distinct nodes.  A node reached
-    again while it is being walked (a recursive alias, which construction
-    refuses) counts 0.
+    The walk goes one level at a time and holds each node once per level,
+    with the number of paths from ``node`` that reach it there; the sum of
+    those counts is the size with every alias expanded.  So an aliased node
+    costs one visit per level it appears on, and a recursive alias, which
+    nests without end, meets the depth cap.
     """
-    size = sizes.get(id(node))
-    if size is None:
-        sizes[id(node)] = 0
-        size = 1
-        if isinstance(node, yaml.SequenceNode):
-            for child in node.value:
-                size += _expanded_size(child, sizes)
-        elif isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                size += _expanded_size(key_node, sizes) + _expanded_size(value_node, sizes)
-        sizes[id(node)] = size
-    return size
-
-
-def _nests_too_deeply(node) -> bool:
-    """Whether the value built from ``node`` nests collections deeper than
-    _MAX_VALUE_DEPTH.
-
-    The walk goes one level of collections at a time and holds each node once
-    per level, so an aliased node costs one visit per level it appears on.
-    """
-    level = [node]
-    for _ in range(_MAX_VALUE_DEPTH):
-        below = {}
-        for parent in level:
+    level = {id(node): (node, 1)}
+    distinct: set[int] = set()
+    expanded = 0
+    for depth in range(_MAX_VALUE_DEPTH + 1):
+        distinct.update(level)
+        below: dict[int, tuple[Any, int]] = {}
+        for parent, paths in level.values():
+            expanded += paths
             if isinstance(parent, yaml.SequenceNode):
                 children = parent.value
             elif isinstance(parent, yaml.MappingNode):
                 children = chain.from_iterable(parent.value)
             else:
                 continue
+            if depth == _MAX_VALUE_DEPTH:
+                raise ValueError(f"collections nest deeper than {_MAX_VALUE_DEPTH} levels")
             for child in children:
-                if isinstance(child, yaml.CollectionNode):
-                    below[id(child)] = child
-        if not below:
-            return False
-        level = below.values()
-    return True
+                entry = below.get(id(child))
+                below[id(child)] = (child, paths if entry is None else entry[1] + paths)
+        level = below
+    if expanded > max(_MAX_EXPANDED_NODES, len(distinct)):
+        raise ValueError(f"aliases expand it beyond {_MAX_EXPANDED_NODES} nodes")
 
 
 # Texts the item cut does not handle: an anchor may be defined in one item and
@@ -412,10 +392,7 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
         node = root.value[0]
         if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
             return None
-        # The cut hands out no text that defines an anchor.
-        return _task_from_node(
-            node, loader, item.splitlines(), directives, False, _may_nest_deeply(item)
-        )
+        return _task_from_node(node, loader, item.splitlines(), directives, _guarded(item))
     except TaskParseError:
         return None
     finally:
@@ -504,7 +481,7 @@ def _dedent_task_lines(lines: list[str], indent: int) -> list[str]:
 
 
 def _task_from_node(
-    node, loader, text_lines: list[str], directives: frozenset[str], anchored: bool, deep: bool
+    node, loader, text_lines: list[str], directives: frozenset[str], guarded: bool
 ) -> AnsibleTask:
     if not isinstance(node, yaml.MappingNode):
         raise NotATaskShape("task entry is not a mapping")
@@ -528,7 +505,7 @@ def _task_from_node(
             raise NotATaskShape("task keys must be strings")
 
         if key == "name":
-            value = _construct(loader, value_node, anchored, deep)
+            value = _construct(loader, value_node, guarded)
             name = "" if value is None else str(value)
             lo = key_node.start_mark.line - start
             _, hi_end = _node_line_span(value_node, text_lines)
@@ -536,12 +513,12 @@ def _task_from_node(
             continue
         if key in directives:
             stored = "tags" if key == "tag" else key
-            directive_map[stored] = _construct(loader, value_node, anchored, deep)
+            directive_map[stored] = _construct(loader, value_node, guarded)
             continue
         if module is not None:
             raise NotATaskShape(f"second module key {key!r} next to {module}")
         module = parse_module_name(key)
-        body = _construct(loader, value_node, anchored, deep)
+        body = _construct(loader, value_node, guarded)
         if body is None:
             options = {}
         elif isinstance(body, dict):

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -22,11 +24,22 @@ from tasklens.edits import (
 )
 from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.gestalt import similarity_ratio
-from tasklens.taskparse import AnsibleTask, NotATaskShape, parse_tasks
+from tasklens.taskparse import (
+    DEFAULT_DIRECTIVE_KEYS,
+    AnsibleTask,
+    NotATaskShape,
+    TaskParseError,
+    YamlSyntax,
+    parse_tasks,
+)
 
 UTC = timezone.utc
 CONFIG = Config()
 FLOOR = CONFIG.rename_match_floor
+
+
+def parse(text):
+    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS)
 
 
 def new_cache(config=CONFIG):
@@ -195,27 +208,27 @@ def unpruned_match(shown, doc_tasks, rename_match_floor):
 
 class TestMatchCommittedTask:
     def test_name_match_wins(self):
-        shown = parse_tasks(SHOWN)[0].with_name("deploy app config")
-        doc = parse_tasks(
+        shown = parse(SHOWN)[0].with_name("deploy app config")
+        doc = parse(
             doc_with("other task", SHOWN) + "\n" + doc_with("deploy app config", _replace_line(SHOWN, 1, "  src: changed"))
         )
         match = match_committed_task(shown, doc, FLOOR)
         assert match.name == "deploy app config"
 
     def test_rename_falls_back_to_best_ratio(self):
-        shown = parse_tasks(SHOWN)[0].with_name("old name")
-        doc = parse_tasks(doc_with("new name", _replace_line(SHOWN, 1, "  src: changed")))
+        shown = parse(SHOWN)[0].with_name("old name")
+        doc = parse(doc_with("new name", _replace_line(SHOWN, 1, "  src: changed")))
         match = match_committed_task(shown, doc, FLOOR)
         assert match is not None and match.name == "new name"
 
     def test_below_floor_is_no_match(self):
-        shown = parse_tasks(SHOWN)[0].with_name("old name")
+        shown = parse(SHOWN)[0].with_name("old name")
         other = "ansible.builtin.service:\n  enabled: true\n  daemon_reload: true"
-        doc = parse_tasks(doc_with("new name", other))
+        doc = parse(doc_with("new name", other))
         assert match_committed_task(shown, doc, FLOOR) is None
 
     def test_empty_document_is_no_match(self):
-        shown = parse_tasks(SHOWN)[0]
+        shown = parse(SHOWN)[0]
         assert match_committed_task(shown, (), FLOOR) is None
 
     @settings(max_examples=300, deadline=None)
@@ -362,7 +375,7 @@ class TestClassifyOutcome:
 
 def options_task(module, options):
     lines = [f"{module}:"] + [f"  {k}: {v}" for k, v in options.items()]
-    return parse_tasks("\n".join(lines))[0]
+    return parse("\n".join(lines))[0]
 
 
 class TestMinorSubcategory:
@@ -422,14 +435,14 @@ class TestModuleEditTags:
 
     def test_reorganization_via_added_directive(self):
         shown = options_task("ansible.builtin.copy", {"src": "x"})
-        (committed,) = parse_tasks(
+        (committed,) = parse(
             "- ansible.builtin.file:\n    src: x\n  register: out\n"
         )
         assert module_edit_tags(shown, committed, CONFIG) == {ModuleEditTag.REORGANIZATION}
 
     def test_fqcn_and_reorganization_overlap(self):
         shown = options_task("ansible.builtin.debug", {"msg": "a"})
-        (committed,) = parse_tasks("- debug:\n    msg: a\n  register: out\n")
+        (committed,) = parse("- debug:\n    msg: a\n  register: out\n")
         assert module_edit_tags(shown, committed, CONFIG) == {
             ModuleEditTag.FQCN_SHORTENED,
             ModuleEditTag.REORGANIZATION,
@@ -454,11 +467,45 @@ class TestTaskCache:
         assert first.directives == {"takeover": True}
         # the default keys read 'takeover' as a second module key
         with pytest.raises(NotATaskShape):
-            default.parse(doc)
+            parse(doc)
+        assert default.parse(doc) is None
         assert custom._items and default._items
         for key, task in default._items.items():
             assert custom._items.get(key) is not task
         assert custom.parse(doc + "    - name: v\n      debug:\n        msg: hu\n")[1] is second
+
+    def test_failed_lookups_keep_no_memory(self):
+        """A failed lookup leaves nothing behind, however often it repeats.  A
+        cache that kept an error object and raised it again would grow its
+        traceback, and the frames it holds, on every lookup; the suppress keeps
+        such a cache measurable."""
+        texts = ["key: [unclosed\nnext: x\n", "just a sentence"]
+        with pytest.raises(YamlSyntax):
+            parse(texts[0])
+        with pytest.raises(NotATaskShape):
+            parse(texts[1])
+        cache = new_cache()
+
+        def look_up(count):
+            for _ in range(count):
+                for text in texts:
+                    with contextlib.suppress(TaskParseError):
+                        cache.parse(text)
+                    with contextlib.suppress(TaskParseError):
+                        cache.shown_task(text, "a name")
+
+        tracemalloc.start()
+        try:
+            look_up(100)
+            before = tracemalloc.get_traced_memory()[0]
+            look_up(1000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 20_000  # under 5 bytes for each of the 4,000 lookups
+        for text in texts:
+            assert cache.parse(text) is None
+            assert cache.shown_task(text, "a name") is None
 
 
 class TestAnalyzeTimeline:

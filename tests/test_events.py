@@ -507,6 +507,15 @@ class TestTimelines:
         (timeline,) = build_timelines(events)
         assert timeline.active_days == {date(2023, 6, 1), date(2023, 6, 2)}
 
+    def test_events_out_of_user_order_rejected(self):
+        # u1's events split across two runs, then runs out of user_id order
+        split = [("e1", "u1", "2023-06-01T09:00:00+00:00", "a"),
+                 ("e2", "u2", "2023-06-01T10:00:00+00:00", "b"),
+                 ("e3", "u1", "2023-06-01T11:00:00+00:00", "c")]
+        for specs in (split, split[1:]):
+            with pytest.raises(ValueError, match="user_id order"):
+                build_timelines(make_events(specs))
+
     def test_empty_timeline_rejected(self):
         with pytest.raises(ValueError):
             UserTimeline(user_id="u", events=[])

@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import asdict, replace
 from datetime import date, timedelta
+from operator import attrgetter
 
 import pytest
 
@@ -257,7 +258,9 @@ def timelines_from_days(user_days):
                      "prompt": "p", "context": ""}
                 )
             )
-    return build_timelines([parse_event_line(line) for line in lines])
+    events = [parse_event_line(line) for line in lines]
+    # build_timelines takes events in deduplicate's order
+    return build_timelines(sorted(events, key=attrgetter("user_id", "instant", "event_id")))
 
 
 class TestReturningCohort:

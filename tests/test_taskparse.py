@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tasklens import taskparse
 from tasklens.taskparse import (
+    DEFAULT_DIRECTIVE_KEYS,
     BadModuleKey,
     BadYamlValue,
     ModuleName,
@@ -21,6 +22,13 @@ from tasklens.taskparse import (
     short_name,
 )
 
+
+def parse(text, memo=None):
+    """parse_tasks with the default directive keys; a memo comes with a fresh
+    skeleton memo."""
+    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS, memo, None if memo is None else {})
+
+
 FIG1_STYLE = """\
 - name: install nginx
   ansible.builtin.yum:
@@ -31,18 +39,18 @@ FIG1_STYLE = """\
 
 class TestParseTasks:
     def test_task_list(self):
-        (task,) = parse_tasks(FIG1_STYLE)
+        (task,) = parse(FIG1_STYLE)
         assert task.name == "install nginx"
         assert task.module.segments == ("ansible", "builtin", "yum")
         assert list(task.options) == ["name", "state"]
 
     def test_empty_document(self):
-        assert parse_tasks("") == []
-        assert parse_tasks("---\n") == []
+        assert parse("") == []
+        assert parse("---\n") == []
 
     def test_register_is_directive_not_option(self):
         text = FIG1_STYLE + "  register: yum_out\n"
-        (task,) = parse_tasks(text)
+        (task,) = parse(text)
         assert task.directives == {"register": "yum_out"}
         assert "register" not in task.options
 
@@ -62,16 +70,16 @@ class TestParseTasks:
       debug:
         msg: c
 """
-        tasks = parse_tasks(playbook)
+        tasks = parse(playbook)
         assert [t.name for t in tasks] == ["one", "two", "three"]
 
     def test_bare_fragment_without_name(self):
-        (task,) = parse_tasks("ansible.builtin.debug:\n  msg: hi\n")
+        (task,) = parse("ansible.builtin.debug:\n  msg: hi\n")
         assert task.name is None
         assert short_name(task.module) == "debug"
 
     def test_block_task_has_no_module(self):
-        (task,) = parse_tasks(
+        (task,) = parse(
             "- name: wrapper\n  block:\n    - debug:\n        msg: hi\n"
         )
         assert task.module is None
@@ -79,69 +87,69 @@ class TestParseTasks:
 
     def test_task_without_module_or_block_rejected(self):
         with pytest.raises(NotATaskShape):
-            parse_tasks("- name: lonely\n  register: x\n")
+            parse("- name: lonely\n  register: x\n")
 
     def test_second_module_key_rejected(self):
         with pytest.raises(NotATaskShape):
-            parse_tasks("- debug:\n    msg: a\n  copy:\n    src: b\n")
+            parse("- debug:\n    msg: a\n  copy:\n    src: b\n")
 
     def test_non_task_shapes(self):
         with pytest.raises(NotATaskShape):
-            parse_tasks("just a sentence")
+            parse("just a sentence")
         with pytest.raises(NotATaskShape):
-            parse_tasks("- 1\n- 2\n")
+            parse("- 1\n- 2\n")
         with pytest.raises(NotATaskShape):
-            parse_tasks("- hosts: web\n  tasks: notalist\n")
+            parse("- hosts: web\n  tasks: notalist\n")
 
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(YamlSyntax) as err:
-            parse_tasks("key: [unclosed\nnext: x\n")
+            parse("key: [unclosed\nnext: x\n")
         assert err.value.line is not None
 
     def test_bad_module_key_inside_task(self):
         with pytest.raises(BadModuleKey):
-            parse_tasks("- name: t\n  a.b:\n    x: 1\n")
+            parse("- name: t\n  a.b:\n    x: 1\n")
 
     def test_tag_alias_normalized_to_tags(self):
-        (task,) = parse_tasks("- debug:\n    msg: a\n  tag: special\n")
+        (task,) = parse("- debug:\n    msg: a\n  tag: special\n")
         assert task.directives == {"tags": "special"}
 
     def test_free_form_module_body(self):
-        (task,) = parse_tasks("- name: run it\n  command: ls -la\n")
+        (task,) = parse("- name: run it\n  command: ls -la\n")
         assert task.options == {RAW_PARAMS_KEY: "ls -la"}
 
     def test_null_module_body(self):
-        (task,) = parse_tasks("- name: ping\n  ansible.builtin.ping:\n")
+        (task,) = parse("- name: ping\n  ansible.builtin.ping:\n")
         assert task.options == {}
 
     def test_raw_lines_dedented_to_fragment_form(self):
-        nested = parse_tasks(FIG1_STYLE)[0]
-        fragment = parse_tasks(
+        nested = parse(FIG1_STYLE)[0]
+        fragment = parse(
             "ansible.builtin.yum:\n  name: nginx\n  state: present\n"
         )[0]
         assert nested.body_lines == fragment.body_lines
 
     def test_name_line_excluded_from_body(self):
-        (task,) = parse_tasks(FIG1_STYLE)
+        (task,) = parse(FIG1_STYLE)
         assert task.raw_lines[0] == "name: install nginx"
         assert task.body_lines[0] == "ansible.builtin.yum:"
 
     def test_option_named_name_stays_in_body(self):
-        (task,) = parse_tasks(FIG1_STYLE)
+        (task,) = parse(FIG1_STYLE)
         # the module option "name: nginx" must survive name-line removal
         assert "  name: nginx" in task.body_lines
 
     def test_multiline_name_span(self):
         text = "- name: >-\n    a very\n    long name\n  debug:\n    msg: hi\n"
-        (task,) = parse_tasks(text)
+        (task,) = parse(text)
         assert task.name == "a very long name"
         assert task.body_lines == ["debug:", "  msg: hi"]
 
     def test_directive_keys_configurable(self):
         text = "- name: t\n  takeover: true\n  debug:\n    msg: hi\n"
         with pytest.raises(NotATaskShape):
-            parse_tasks(text)  # 'takeover' reads as a second module key
-        (task,) = parse_tasks(text, directive_keys=("name", "takeover"))
+            parse(text)  # 'takeover' reads as a second module key
+        (task,) = parse_tasks(text, ("name", "takeover"))
         assert str(task.module) == "debug"
         assert task.directives == {"takeover": True}
 
@@ -173,8 +181,8 @@ class TestModuleName:
 
 class TestTaskParts:
     def test_nested_values_canonicalized(self):
-        a = parse_tasks("- name: t\n  m:\n    opt: {x: 1, y: [a, b]}\n")[0]
-        b = parse_tasks("- name: t\n  m:\n    opt: {y: [a, b], x: 1}\n")[0]
+        a = parse("- name: t\n  m:\n    opt: {x: 1, y: [a, b]}\n")[0]
+        b = parse("- name: t\n  m:\n    opt: {y: [a, b], x: 1}\n")[0]
         assert a.canonical_options == b.canonical_options
 
     def test_canonical_scalars(self):
@@ -196,7 +204,7 @@ class TestTaskParts:
 
 class TestSerialization:
     def test_every_key_in_exactly_one_bucket(self):
-        (task,) = parse_tasks(FIG1_STYLE + "  register: out\n  loop: [1, 2]\n")
+        (task,) = parse(FIG1_STYLE + "  register: out\n  loop: [1, 2]\n")
         # option "name: nginx" under the module and the task name coexist;
         # task-level keys land in exactly one of name/module/directives
         assert task.name == "install nginx"
@@ -223,12 +231,12 @@ class TestLineSpan:
 """
 
     def test_task_lines_end_before_the_next_item(self):
-        one, two = parse_tasks(self.PLAY)
+        one, two = parse(self.PLAY)
         assert one.raw_lines == ("name: one", "debug:", "  msg: a", "", "# a comment between tasks")
         assert two.raw_lines == ("name: two", "debug:", "  msg: b")
 
     def test_flow_task_keeps_its_own_line(self):
-        (task,) = parse_tasks("- hosts: all\n  tasks:\n    - {name: one, debug: {msg: a}}\n  vars: {}\n")
+        (task,) = parse("- hosts: all\n  tasks:\n    - {name: one, debug: {msg: a}}\n  vars: {}\n")
         assert task.raw_lines == ("{name: one, debug: {msg: a}}",)
 
 
@@ -242,7 +250,7 @@ class TestLoaderIndependence:
     def test_tab_verdict_does_not_depend_on_libyaml(self, monkeypatch, loader, text, memo):
         monkeypatch.setattr(taskparse, "_Loader", loader)
         with pytest.raises(YamlSyntax):
-            parse_tasks(text, memo=memo)
+            parse(text, memo=memo)
 
 
 def alias_chain(levels):
@@ -264,7 +272,7 @@ class TestUnconstructableValues:
     )
     def test_bad_value_is_a_task_parse_error(self, value):
         with pytest.raises(BadYamlValue):
-            parse_tasks(f"- name: t\n  copy:\n    src: {value}\n")
+            parse(f"- name: t\n  copy:\n    src: {value}\n")
 
     # PyYAML's SafeConstructor raises IndexError, KeyError or AttributeError
     # for these, under both loaders.
@@ -278,7 +286,7 @@ class TestUnconstructableValues:
     def test_tagged_scalar_pyyaml_cannot_build(self, monkeypatch, loader, memo, value):
         monkeypatch.setattr(taskparse, "_Loader", loader)
         with pytest.raises(BadYamlValue):
-            parse_tasks(f"- name: a\n  debug: {value}\n", memo=memo)
+            parse(f"- name: a\n  debug: {value}\n", memo=memo)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
     @pytest.mark.parametrize("tab", ["", "\t"])
@@ -287,10 +295,10 @@ class TestUnconstructableValues:
         # recurses once per level before any value is built.
         monkeypatch.setattr(taskparse, "_Loader", loader)
         with pytest.raises(TaskParseError):
-            parse_tasks(f"- name: a\n  debug:\n    {'- ' * 3000}x\n{tab}")
+            parse(f"- name: a\n  debug:\n    {'- ' * 3000}x\n{tab}")
 
     def test_aliases_below_the_cap_are_built(self):
-        (task,) = parse_tasks(
+        (task,) = parse(
             "- name: t\n  copy:\n    a: &d {mode: '0644'}\n    b: *d\n"
             f"    c: {alias_chain(10)}\n"
         )
@@ -298,9 +306,9 @@ class TestUnconstructableValues:
         assert len(task.canonical_options["c"][-1]) == 2
 
     def test_large_value_without_aliases_is_built(self):
-        # "&" makes the text one that may define anchors, so the size walk runs.
+        # "&" makes the text one that may define anchors, so the value walk runs.
         big = "[" + ", ".join(["x"] * 20_000) + "]"
-        (task,) = parse_tasks(f"- name: rock & roll\n  copy:\n    src: {big}\n")
+        (task,) = parse(f"- name: rock & roll\n  copy:\n    src: {big}\n")
         assert len(task.options["src"]) == 20_000
 
 
@@ -330,7 +338,7 @@ class TestNestingCap:
 
         def verdict():
             try:
-                parse_tasks(text, memo={} if memo else None, skeletons={} if memo else None)
+                parse(text, memo={} if memo else None)
             except TaskParseError:
                 return "unparseable"
             return "parses"
@@ -345,7 +353,131 @@ class TestNestingCap:
     def test_value_past_the_cap_is_a_bad_value(self, monkeypatch, loader, memo, shape):
         monkeypatch.setattr(taskparse, "_Loader", loader)
         with pytest.raises(BadYamlValue):
-            parse_tasks(nested_value_task(shape, self.CAP + 1), memo={} if memo else None)
+            parse(nested_value_task(shape, self.CAP + 1), memo={} if memo else None)
+
+
+# The two walks _check_value replaced, kept as its oracle.
+def oracle_expanded_size(node, sizes):
+    """Nodes in the value built from ``node``, counting an aliased node at each use.
+
+    ``sizes`` memoizes by node identity, so the walk visits each distinct node
+    once; its length is then the number of distinct nodes.  A node reached
+    again while it is being walked (a recursive alias) counts 0.
+    """
+    size = sizes.get(id(node))
+    if size is None:
+        sizes[id(node)] = 0
+        size = 1
+        if isinstance(node, yaml.SequenceNode):
+            for child in node.value:
+                size += oracle_expanded_size(child, sizes)
+        elif isinstance(node, yaml.MappingNode):
+            for key_node, value_node in node.value:
+                size += oracle_expanded_size(key_node, sizes)
+                size += oracle_expanded_size(value_node, sizes)
+        sizes[id(node)] = size
+    return size
+
+
+def oracle_nests_too_deeply(node):
+    """Whether the value built from ``node`` nests collections deeper than
+    _MAX_VALUE_DEPTH, one level of collections at a time."""
+    level = [node]
+    for _ in range(taskparse._MAX_VALUE_DEPTH):
+        below = {}
+        for parent in level:
+            if isinstance(parent, yaml.SequenceNode):
+                children = parent.value
+            elif isinstance(parent, yaml.MappingNode):
+                children = [n for pair in parent.value for n in pair]
+            else:
+                continue
+            for child in children:
+                if isinstance(child, yaml.CollectionNode):
+                    below[id(child)] = child
+        if not below:
+            return False
+        level = below.values()
+    return True
+
+
+@st.composite
+def flow_values(draw, depth_cap, node_cap):
+    """A flow YAML value whose anchors are aliased at other depths, inside
+    their own node (a recursive alias) and as complex keys; with runs of
+    brackets around the depth cap, empty collections at their bottom, flat
+    lists and doubling alias chains around the node cap."""
+    anchors = []
+
+    def value(level):
+        kinds = ["scalar", "alias"]
+        if level < 4:
+            kinds += ["seq", "map", "nest", "chain"]
+            # SafeLoader takes seconds to compose flat lists past the real
+            # node cap; under the small caps they cost nothing.
+            kinds += ["flat"] if node_cap < 100 else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scalar":
+            return "x"
+        if kind == "alias":
+            return f"*{draw(st.sampled_from(anchors))} " if anchors else "x"
+        if kind == "chain":  # level i holds level i - 1 twice
+            first = len(anchors)
+            levels = draw(st.integers(1, node_cap.bit_length() + 1))
+            anchors.extend(f"a{first + i}" for i in range(levels))
+            links = [f"&a{first} [x, x]"] + [
+                f"&a{first + i} [*a{first + i - 1} , *a{first + i - 1} ]" for i in range(1, levels)
+            ]
+            return "[" + ", ".join(links) + "]"
+        anchor = ""
+        if draw(st.booleans()):
+            anchor = f"&a{len(anchors)} "
+            anchors.append(f"a{len(anchors)}")
+        if kind == "flat":  # distinct nodes around the node cap
+            return anchor + "[" + ", ".join(["x"] * draw(st.integers(0, node_cap + 2))) + "]"
+        if kind == "nest":
+            runs = draw(st.integers(1, depth_cap + 2))
+            inner = draw(st.sampled_from(["[]", "{}"])) if draw(st.booleans()) else value(level + 1)
+            return anchor + "[" * runs + inner + "]" * runs
+        entries = []
+        for _ in range(draw(st.integers(0, 3))):
+            if kind == "seq":
+                entries.append(value(level + 1))
+            else:  # draw the key first: an alias may follow its anchor only
+                key = value(level + 1) if draw(st.booleans()) else f"k{len(entries)}"
+                entries.append(f"? {key} : {value(level + 1)}")
+        opening, closing = ("[", "]") if kind == "seq" else ("{", "}")
+        return anchor + opening + ", ".join(entries) + closing
+
+    return value(0)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("caps", [(4, 30), (64, 10_000)], ids=["small caps", "real caps"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_walk_matches_the_two_walks(loader, caps, data):
+    """_check_value refuses exactly the values the size walk or the depth walk
+    refuses, and none in a text _guarded lets through."""
+    depth_cap, node_cap = caps
+    text = data.draw(flow_values(depth_cap, node_cap))
+    with mock.patch.multiple(
+        taskparse, _Loader=loader, _MAX_VALUE_DEPTH=depth_cap, _MAX_EXPANDED_NODES=node_cap
+    ):
+        root = loader(text).get_single_node()
+        sizes = {}
+        expected = (
+            oracle_expanded_size(root, sizes) > max(node_cap, len(sizes))
+            or oracle_nests_too_deeply(root)
+        )
+        try:
+            taskparse._check_value(root)
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == expected
+        if refused:
+            assert taskparse._guarded(text)
 
 
 # A fuzzed text is lines of an indent, an optional dash, an optional key and
@@ -387,7 +519,7 @@ def _verdict(text, memo):
     """parse_tasks' result, or the class of the TaskParseError it raised;
     any other exception escapes."""
     try:
-        return parse_tasks(text, memo=memo, skeletons=None if memo is None else {})
+        return parse(text, memo)
     except TaskParseError as exc:
         return type(exc)
 

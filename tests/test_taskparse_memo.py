@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from tasklens import taskparse
 from tasklens.taskparse import (
+    DEFAULT_DIRECTIVE_KEYS,
     TaskParseError,
     _collect_task_nodes,
     _compose,
@@ -148,9 +149,13 @@ def playbooks(draw):
     return head, items, tail, ending
 
 
-def _outcome(text, memo=None):
+def parse(text, memo=None, skeletons=None):
+    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS, memo, skeletons)
+
+
+def _outcome(text, memo=None, skeletons=None):
     try:
-        return parse_tasks(text) if memo is None else parse_tasks(text, None, memo)
+        return parse(text, memo, skeletons)
     except Exception as exc:  # the class is what must match
         return type(exc)
 
@@ -160,12 +165,12 @@ def _outcome(text, memo=None):
 @given(playbook=playbooks())
 def test_memo_matches_whole_document_parse(loader, playbook):
     head, items, tail, ending = playbook
-    memo = {}
+    memo, skeletons = {}, {}
     with mock.patch.object(taskparse, "_Loader", loader):
         for count in range(1, len(items) + 1):
             lines = head + [line for item in items[:count] for line in item] + tail
             text = "\n".join(lines) + ending
-            assert _outcome(text, memo) == _outcome(text)
+            assert _outcome(text, memo, skeletons) == _outcome(text)
 
 
 def _placeholders_hold(skeleton, column, first_line, count):
@@ -212,9 +217,9 @@ def test_one_placeholder_verdict_equals_one_per_item(loader, playbook):
 def test_memo_reuses_items_across_snapshots():
     task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
     head = "- hosts: all\n  tasks:\n"
-    memo = {}
-    small = parse_tasks(head + task.format(1) + task.format(2), None, memo)
-    grown = parse_tasks(head + task.format(1) + task.format(2) + task.format(3), None, memo)
+    memo, skeletons = {}, {}
+    small = parse(head + task.format(1) + task.format(2), memo, skeletons)
+    grown = parse(head + task.format(1) + task.format(2) + task.format(3), memo, skeletons)
     assert grown[:2] == small
     assert grown[0] is small[0] and grown[1] is small[1]
     assert len(memo) == 3
@@ -226,7 +231,7 @@ def test_snapshots_share_one_skeleton_verdict():
     memo, skeletons = {}, {}
     for count in (1, 2, 5):
         text = head + "".join(task.format(i) for i in range(count)) + tail
-        assert parse_tasks(text, None, memo, skeletons) == parse_tasks(text)
+        assert parse(text, memo, skeletons) == parse(text)
     assert skeletons == {(head + "    - {}\n" + tail, 4, 2): True}
 
 
@@ -236,9 +241,9 @@ def test_anchor_shared_across_items_falls_back():
         "    - debug:\n        msg: &m hello\n"
         "    - debug:\n        msg: *m\n"
     )
-    memo = {}
-    assert parse_tasks(text, None, memo) == parse_tasks(text)
-    assert parse_tasks(text, None, memo)[1].options == {"msg": "hello"}
+    memo, skeletons = {}, {}
+    assert parse(text, memo, skeletons) == parse(text)
+    assert parse(text, memo, skeletons)[1].options == {"msg": "hello"}
     assert memo == {}
 
 
@@ -247,4 +252,4 @@ def test_tag_directive_falls_back():
         "%TAG !! tag:example.com,2000:\n---\n"
         "- hosts: all\n  tasks:\n    - debug:\n        msg: !!str 5\n"
     )
-    assert _outcome(text, {}) == _outcome(text)
+    assert _outcome(text, {}, {}) == _outcome(text)
