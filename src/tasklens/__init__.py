@@ -11,7 +11,7 @@ from .events import (
     ActionEvent, CompletionEvent, ContentEvent, FeedbackEvent, RawEvent, SuggestionEvent,
     UserTimeline, build_timelines, deduplicate, parse_event_line, read_events,
 )
-from .gestalt import MatchingBlock, edit_fraction, matching_blocks
+from .gestalt import edit_fraction, matching_blocks
 from .metrics import (
     AcceptanceSummary,
     RetentionCurve,
@@ -36,7 +36,6 @@ __all__ = [
     "Config",
     "ContentEvent",
     "FeedbackEvent",
-    "MatchingBlock",
     "ModuleName",
     "RawEvent",
     "RetentionCurve",

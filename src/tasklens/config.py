@@ -10,10 +10,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import yaml
-
 from .events import DEDUP_WINDOW_SECONDS
-from .taskparse import CONSTRUCT_ERRORS, DEFAULT_DIRECTIVE_KEYS
+from .taskparse import CONSTRUCT_ERRORS, DEFAULT_DIRECTIVE_KEYS, TaskParseError, composed
 
 
 class BadConfig(ValueError):
@@ -53,8 +51,9 @@ def load_config(path: str | Path | None) -> Config:
     if not path.exists():
         return Config()
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except CONSTRUCT_ERRORS as exc:
+        with composed(path.read_text(encoding="utf-8")) as (loader, root, _):
+            raw = None if root is None else loader.construct_document(root)
+    except (TaskParseError, *CONSTRUCT_ERRORS) as exc:
         raise BadConfig("<file>", f"not parseable: {exc}") from None
     if raw is None:
         return Config()

@@ -16,7 +16,7 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import lru_cache
@@ -63,7 +63,8 @@ class BadFieldValue(EventParseError):
 # Event records are slotted but not frozen: a frozen dataclass's __init__ sets
 # every field through object.__setattr__, which makes building one record per
 # line cost about as much as decoding the line.  Nothing mutates an event after
-# parse_event_line returns it.
+# parse_event_line returns it.  Subclasses slot only their added fields, by
+# hand: on 3.10 dataclass(slots=True) repeats the base's, 32 bytes a record.
 
 
 @dataclass(slots=True)
@@ -76,38 +77,43 @@ class RawEvent:
     day: date  # calendar date in the event's own UTC offset (user-local)
 
 
-@dataclass(slots=True)
+@dataclass
 class CompletionEvent(RawEvent):
+    __slots__ = ("suggestion_id", "prompt", "context")
     suggestion_id: str
     prompt: str
     context: str
 
 
-@dataclass(slots=True)
+@dataclass
 class SuggestionEvent(RawEvent):
+    __slots__ = ("suggestion_id", "suggestion_text", "line_count", "token_count")
     suggestion_id: str
     suggestion_text: str
     line_count: int
     token_count: int
 
 
-@dataclass(slots=True)
+@dataclass
 class ActionEvent(RawEvent):
+    __slots__ = ("suggestion_id", "action")
     suggestion_id: str
     action: UserAction
 
 
-@dataclass(slots=True)
+@dataclass
 class ContentEvent(RawEvent):
+    __slots__ = ("document_text", "suggestion_id")
     document_text: str
-    suggestion_id: str | None = None
+    suggestion_id: str | None
 
 
-@dataclass(slots=True)
+@dataclass
 class FeedbackEvent(RawEvent):
+    __slots__ = ("stars", "comment", "sentiment_label")
     stars: int
     comment: str
-    sentiment_label: str | None = None
+    sentiment_label: str | None
 
 
 _CLASS_BY_TYPE = {
@@ -391,12 +397,8 @@ def _by_user(events: Iterable[RawEvent]) -> list[tuple[str, list[RawEvent]]]:
     return [(user_id, sorted(per_user[user_id], key=_TIME_ORDER)) for user_id in sorted(per_user)]
 
 
-# The fields each class adds to RawEvent, from dataclasses.fields: on Python
-# 3.10 a subclass's __slots__ repeats the base fields, event_id among them.
-_CONTENT = {
-    cls: attrgetter(*(f.name for f in fields(cls)[len(fields(RawEvent)):]))
-    for cls in _CLASS_BY_TYPE.values()
-}
+# The fields each class adds to RawEvent, event_id not among them.
+_CONTENT = {cls: attrgetter(*cls.__slots__) for cls in _CLASS_BY_TYPE.values()}
 
 
 def deduplicate(

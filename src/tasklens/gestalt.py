@@ -17,8 +17,7 @@ well, which is what the edit-fraction threshold downstream relies on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from difflib import SequenceMatcher
+from difflib import Match, SequenceMatcher
 from typing import Hashable, Sequence
 
 # The most inner-loop steps one pair may take.  SequenceMatcher finds a block
@@ -34,20 +33,11 @@ class MatchBudgetExceeded(ValueError):
     """The pair's work bound exceeds ``MAX_MATCH_WORK``; no blocks were computed."""
 
 
-@dataclass(frozen=True, slots=True)
-class MatchingBlock:
-    """A contiguous run of ``length`` equal elements at ``a_start``/``b_start``."""
-
-    a_start: int
-    b_start: int
-    length: int
-
-
-def matching_blocks(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[MatchingBlock]:
-    """All matching blocks, in ascending a_start order.
+def matching_blocks(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[Match]:
+    """All matching blocks as difflib ``Match(a, b, size)`` tuples, in ascending ``a`` order.
 
     Blocks are non-overlapping in both sequences and never cross over: both
-    a_start and b_start increase strictly along the list.  Raises
+    ``a`` and ``b`` increase strictly along the list.  Raises
     MatchBudgetExceeded when the pair's work bound exceeds MAX_MATCH_WORK.
     """
     n, m = len(a), len(b)
@@ -60,7 +50,7 @@ def matching_blocks(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[Matchi
                 f"{n} x {m} elements with {pairs} equal pairs exceed the matching budget"
             )
     blocks = SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
-    return [MatchingBlock(*block) for block in blocks[:-1]]  # less the (n, m, 0) sentinel
+    return blocks[:-1]  # less the (n, m, 0) sentinel
 
 
 def similarity_ratio(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
@@ -72,7 +62,7 @@ def similarity_ratio(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     total = len(a) + len(b)
     if total == 0:
         return 1.0
-    return 2.0 * sum(blk.length for blk in matching_blocks(a, b)) / total
+    return 2.0 * sum(blk.size for blk in matching_blocks(a, b)) / total
 
 
 def edit_fraction(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:

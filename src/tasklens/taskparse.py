@@ -22,6 +22,7 @@ stays the only source of errors.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -32,11 +33,10 @@ import yaml
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # What building a value can raise under either safe loader: YAMLError for
-# recursive aliases and unknown tags, ValueError for bad !!int/!!float/
-# timestamp literals, IndexError for an empty or sign-only !!int/!!float,
-# KeyError for an unknown !!bool word, AttributeError for a malformed
-# !!timestamp, and RecursionError, since construction recurses per level.
-CONSTRUCT_ERRORS = (yaml.YAMLError, ValueError, LookupError, AttributeError, RecursionError)
+# recursive aliases and unknown tags, ValueError for bad !!int/!!float/timestamp
+# literals, IndexError for an empty or sign-only !!int/!!float, KeyError for an
+# unknown !!bool word and AttributeError for a malformed !!timestamp.
+CONSTRUCT_ERRORS = (yaml.YAMLError, ValueError, LookupError, AttributeError)
 
 # Standard task keywords; "tag" is accepted as an alias of "tags" on input.
 # Extend via config when a playbook uses keywords not listed here.
@@ -183,8 +183,9 @@ def parse_tasks(
 ) -> list[AnsibleTask]:
     """Parse every task in a task list, a play's ``tasks:`` section, or a bare fragment.
 
-    Raises YamlSyntax for unparseable text, BadYamlValue for values that
-    cannot be built, and NotATaskShape for valid YAML that is not task-like.
+    Raises YamlSyntax for unparseable text, BadYamlValue for text nested too
+    deeply or values that cannot be built, and NotATaskShape for valid YAML
+    that is not task-like.
 
     ``memo`` maps the exact text of a task-list item to its parsed task (None
     when the item does not parse alone).  Pass the same dict only together
@@ -197,35 +198,14 @@ def parse_tasks(
         tasks = _parse_by_item(text, directives, memo, skeletons)
         if tasks is not None:
             return tasks
-    # libyaml accepts some tabs that the pure-Python loader refuses; one
-    # loader for such texts keeps their verdict the same on every install.
-    loader = (yaml.SafeLoader if "\t" in text else _Loader)(text)
-    try:
-        root = _compose(loader)
+    with composed(text) as (loader, root, guarded):
         if root is None or (
             isinstance(root, yaml.ScalarNode) and root.tag == "tag:yaml.org,2002:null"
         ):
             return []
         text_lines = text.splitlines()
-        task_nodes = _collect_task_nodes(root)
-        guarded = _guarded(text)
-        return [
-            _task_from_node(node, loader, text_lines, directives, guarded)
-            for node in task_nodes
-        ]
-    finally:
-        loader.dispose()
-
-
-def _compose(loader):
-    try:
-        return loader.get_single_node()
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else None
-        raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
-    except RecursionError:  # the pure-Python composer recurses per nesting level
-        raise YamlSyntax("invalid YAML: nested too deeply") from None
+        return [_task_from_node(node, loader, text_lines, directives, guarded)
+                for node in _collect_task_nodes(root)]
 
 
 # Aliases let a short text name one node many times ("billion laughs": each
@@ -241,19 +221,54 @@ _MAX_VALUE_DEPTH = 64
 # Every collection opens at one of these characters: a flow "[" or "{", a
 # block sequence entry's "-", a mapping entry's ":" or "?".
 _COLLECTION_CHARS = "[{-:?"
+# The deepest nesting of collections a text may hold.  The composers recurse
+# per level, libyaml's in C (its stack overflows near 25,000 levels) and
+# PyYAML's at about 2 Python frames a level, which this cap keeps far from the
+# recursion limit even 500 frames deep.  It exceeds _MAX_VALUE_DEPTH plus the
+# 4 levels (play list, play, task list, task) around a value, so a task item
+# parses alone exactly when it parses in its document.
+_MAX_TEXT_DEPTH = 100
 
 
-def _guarded(text: str) -> bool:
-    """False when ``text`` can hold no hostile value: it defines no anchor,
-    without which no node is an alias and a value's size is its node count,
-    and it has too few collection characters, those in scalars included, to
-    nest any value deeper than _MAX_VALUE_DEPTH."""
-    return "&" in text or sum(map(text.count, _COLLECTION_CHARS)) > _MAX_VALUE_DEPTH
+@contextmanager
+def composed(text: str):
+    """Yield ``(loader, root, guarded)``: the nodes of ``text`` and the open
+    loader that builds their values.  ``guarded`` is False when the text can
+    hold no hostile value: it defines no anchor and nests no deeper than
+    _MAX_VALUE_DEPTH.  Raises YamlSyntax for unparseable text and BadYamlValue
+    for text nested deeper than _MAX_TEXT_DEPTH.
+    """
+    # libyaml accepts some tabs that the pure-Python loader refuses; one
+    # loader for such texts keeps their verdict the same on every install.
+    loader_class = yaml.SafeLoader if "\t" in text else _Loader
+    loader = loader_class(text)
+    try:
+        try:
+            # Each level opens at a collection character, so a text with few
+            # nests shallowly.  The parser keeps its own stack: no recursion.
+            depth = deepest = 0
+            if sum(map(text.count, _COLLECTION_CHARS)) > _MAX_VALUE_DEPTH:
+                for event in yaml.parse(text, Loader=loader_class):
+                    if isinstance(event, yaml.CollectionStartEvent):
+                        depth += 1
+                        deepest = max(deepest, depth)
+                        if depth > _MAX_TEXT_DEPTH:
+                            raise BadYamlValue(f"nested deeper than {_MAX_TEXT_DEPTH} levels")
+                    elif isinstance(event, yaml.CollectionEndEvent):
+                        depth -= 1
+            root = loader.get_single_node()
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = mark.line + 1 if mark is not None else None
+            raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
+        yield loader, root, "&" in text or deepest > _MAX_VALUE_DEPTH
+    finally:
+        loader.dispose()
 
 
 def _construct(loader, node, guarded: bool) -> Any:
     """The value of ``node``; ``guarded`` says whether the text may hold a
-    hostile value (see _guarded), which _check_value then refuses."""
+    hostile value (see composed), which _check_value then refuses."""
     try:
         if guarded:
             _check_value(node)
@@ -384,30 +399,25 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
     An item with a ``tasks`` key is refused: in a top-level list it could
     make the whole list read as plays.
     """
-    loader = _Loader(item)
     try:
-        root = _compose(loader)
-        if not isinstance(root, yaml.SequenceNode) or len(root.value) != 1:
-            return None
-        node = root.value[0]
-        if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
-            return None
-        return _task_from_node(node, loader, item.splitlines(), directives, _guarded(item))
+        with composed(item) as (loader, root, guarded):
+            if not isinstance(root, yaml.SequenceNode) or len(root.value) != 1:
+                return None
+            node = root.value[0]
+            if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
+                return None
+            return _task_from_node(node, loader, item.splitlines(), directives, guarded)
     except TaskParseError:
         return None
-    finally:
-        loader.dispose()
 
 
 def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
     """Whether the skeleton's only task node is its placeholder."""
-    loader = _Loader(skeleton)
     try:
-        nodes = _collect_task_nodes(_compose(loader))
+        with composed(skeleton) as (_, root, _):
+            nodes = _collect_task_nodes(root)
     except TaskParseError:
         return False
-    finally:
-        loader.dispose()
     return (
         len(nodes) == 1
         and isinstance(nodes[0], yaml.MappingNode)

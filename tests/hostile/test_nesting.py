@@ -1,0 +1,26 @@
+"""Texts nested tens of thousands of levels deep: each one is unparseable
+text, counted in the report, or a bad config, never a crash."""
+
+import json
+import sys
+
+import pytest
+
+from hostile.cases import NAMES, run_report, write_cases
+
+
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    return write_cases(tmp_path_factory.mktemp("hostile"))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_report_survives(cases, name):
+    case = cases[name]
+    result = run_report(sys.executable, case.args)
+    assert result.returncode == case.exit_code, result.stderr.decode(errors="replace")[-2000:]
+    if case.exit_code == 0:
+        quality = json.loads(result.stdout)["data_quality"]
+        assert {key: quality[key] for key in case.data_quality} == case.data_quality
+    else:
+        assert b"config key '<file>'" in result.stderr

@@ -126,7 +126,7 @@ def test_criterion_3_gestalt_oracle_equivalence(check):
         alphabet = rng.randrange(1, 5)
         a = [rng.randrange(alphabet) for _ in range(rng.randrange(13))]
         b = [rng.randrange(alphabet) for _ in range(rng.randrange(13))]
-        got = [(blk.a_start, blk.b_start, blk.length) for blk in matching_blocks(a, b)]
+        got = [tuple(blk) for blk in matching_blocks(a, b)]
         want = brute_blocks(a, b)
         matched = sum(length for (_, _, length) in want)
         total = len(a) + len(b)

@@ -557,6 +557,21 @@ def test_each_type_is_one_record_of_its_class(fields_of_kind, cls):
     assert (event.event_id, event.user_id, event.day) == ("e1", "u1", date(2023, 6, 1))
 
 
+@pytest.mark.parametrize(
+    "fields_of_kind,cls",
+    zip(VALID_EVENTS, [CompletionEvent, SuggestionEvent, ActionEvent, ContentEvent, FeedbackEvent]),
+    ids=[obj["type"] for obj in VALID_EVENTS],
+)
+def test_each_class_slots_only_its_added_fields(fields_of_kind, cls):
+    """A subclass that repeated the base's slots would make every record
+    larger, and the dedup key, which reads the subclass's slots, would hold
+    event_id, so no two events could ever be duplicates."""
+    assert not set(cls.__slots__) & set(RawEvent.__slots__)
+    assert cls.__slots__ == tuple(f.name for f in fields(cls)[len(fields(RawEvent)):])
+    line = {"event_id": "e1", "user_id": "u1", "ts": "2023-06-01T09:00:00Z", **fields_of_kind}
+    assert not hasattr(parse_event_line(json.dumps(line)), "__dict__")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children, max_size=3)

@@ -7,7 +7,6 @@ import pytest
 from tasklens import gestalt
 from tasklens.gestalt import (
     MatchBudgetExceeded,
-    MatchingBlock,
     edit_fraction,
     matching_blocks,
     similarity_ratio,
@@ -17,7 +16,7 @@ from gestalt_oracle import brute_blocks, brute_longest_block, brute_ratio
 
 
 def blocks_as_tuples(a, b):
-    return [(blk.a_start, blk.b_start, blk.length) for blk in matching_blocks(a, b)]
+    return [tuple(blk) for blk in matching_blocks(a, b)]
 
 
 def longest_block(a, b):
@@ -30,16 +29,16 @@ class TestLongestBlock:
         # "ab" and "cd" both have length 2; "ab" wins on a_start
         a, b = list("abxcd"), list("abcd")
         assert longest_block(a, b) == (2, 0, 0)
-        assert matching_blocks(a, b)[0] == MatchingBlock(0, 0, 2)
+        assert matching_blocks(a, b)[0] == (0, 0, 2)
         # "ab" twice in a: the flanks of the later one would find the other
         a, b = list("abxab"), list("ab")
         assert longest_block(a, b) == (2, 0, 0)
-        assert matching_blocks(a, b) == [MatchingBlock(0, 0, 2)]
+        assert matching_blocks(a, b) == [(0, 0, 2)]
 
     def test_identity(self):
         a = list("abcdef")
         assert longest_block(a, a) == (6, 0, 0)
-        assert matching_blocks(a, a) == [MatchingBlock(0, 0, 6)]
+        assert matching_blocks(a, a) == [(0, 0, 6)]
 
     def test_disjoint_alphabets(self):
         assert longest_block(list("abc"), list("xyz")) is None
@@ -49,7 +48,7 @@ class TestLongestBlock:
         # block 'ab' appears twice in b; earliest b offset wins
         a, b = list("ab"), list("xabyab")
         assert longest_block(a, b) == (2, 0, 1)
-        assert matching_blocks(a, b) == [MatchingBlock(0, 1, 2)]
+        assert matching_blocks(a, b) == [(0, 1, 2)]
 
 
 class TestMatchingBlocks:
@@ -68,10 +67,10 @@ class TestMatchingBlocks:
             a = [rng.randrange(4) for _ in range(rng.randrange(13))]
             b = [rng.randrange(4) for _ in range(rng.randrange(13))]
             blocks = matching_blocks(a, b)
-            for earlier, later in zip(blocks, blocks[1:]):
-                assert earlier.a_start + earlier.length <= later.a_start
-                assert earlier.b_start + earlier.length <= later.b_start
-            matched = sum(blk.length for blk in blocks)
+            for (a0, b0, size), (a1, b1, _) in zip(blocks, blocks[1:]):
+                assert a0 + size <= a1
+                assert b0 + size <= b1
+            matched = sum(size for _, _, size in blocks)
             total = len(a) + len(b)
             assert similarity_ratio(a, b) == (2.0 * matched / total if total else 1.0)
 
@@ -161,11 +160,11 @@ class TestScale:
 class TestSimilarityRatio:
     def test_hand_traced_values(self):
         a, b = list("abc"), list("ac")
-        assert sum(blk.length for blk in matching_blocks(a, b)) == 2
+        assert sum(size for _, _, size in matching_blocks(a, b)) == 2
         assert similarity_ratio(a, b) == pytest.approx(0.8)
 
         a, b = list("abxcd"), list("abcd")
-        assert sum(blk.length for blk in matching_blocks(a, b)) == 4
+        assert sum(size for _, _, size in matching_blocks(a, b)) == 4
         assert similarity_ratio(a, b) == pytest.approx(8 / 9)
 
     def test_boundary_values(self):

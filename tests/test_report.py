@@ -20,26 +20,17 @@ from tasklens.synth import (
     EditMix,
     MODULE_TAG_CONFIG_YAML,
     edit_analysis_lines,
-    feedback_lines,
     write_log,
 )
 
-GOLDEN = Path(__file__).parent / "golden"
+from small_log import SMALL_MIX, small_log_lines
 
-SMALL_MIX = EditMix(
-    fully=20, minor=6, minor_module=3, major=4, deleted=5,
-    rejected=12, ignored=2, unresolved=3,
-)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
 def small_log(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("small")
-    lines = edit_analysis_lines(SMALL_MIX, n_users=5)
-    lines += feedback_lines(star_counts={5: 4, 3: 1, 1: 1},
-                            negative_labels={"broken": 2},
-                            positive_labels={"fast": 3})
-    return write_log(tmp / "log.jsonl", lines)
+    return write_log(tmp_path_factory.mktemp("small") / "log.jsonl", small_log_lines())
 
 
 @pytest.fixture(scope="module")

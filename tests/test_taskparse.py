@@ -17,6 +17,7 @@ from tasklens.taskparse import (
     TaskParseError,
     YamlSyntax,
     canonical,
+    composed,
     parse_module_name,
     parse_tasks,
     short_name,
@@ -355,6 +356,53 @@ class TestNestingCap:
         with pytest.raises(BadYamlValue):
             parse(nested_value_task(shape, self.CAP + 1), memo={} if memo else None)
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("memo", [False, True], ids=["whole", "memo"])
+    @pytest.mark.parametrize("depth", [90, 250, 400])
+    def test_deep_play_vars_verdict_does_not_depend_on_the_stack(
+        self, monkeypatch, loader, memo, depth
+    ):
+        """No value is built from ``vars:``, so only the text cap sees its depth."""
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        text = (
+            f"- hosts: all\n  vars:\n    deep: {'[' * depth}x{']' * depth}\n"
+            "  tasks:\n    - name: a\n      debug:\n        msg: hi\n"
+        )
+
+        def verdict():
+            try:
+                return [task.name for task in parse(text, memo={} if memo else None)]
+            except TaskParseError as exc:
+                return type(exc)
+
+        expected = ["a"] if depth <= taskparse._MAX_TEXT_DEPTH else BadYamlValue
+        assert verdict() == expected
+        assert under_frames(500, verdict) == expected
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("shape", ["flow", "block"])
+    def test_text_cap_on_a_bare_value(self, monkeypatch, loader, shape):
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        cap = taskparse._MAX_TEXT_DEPTH
+
+        def bare(depth):
+            if shape == "flow":
+                return "[" * depth + "x" + "]" * depth
+            return "- " * depth + "x"
+
+        def depth_of(text):
+            with composed(text) as (_, root, _):
+                levels = 0
+                while isinstance(root, yaml.SequenceNode):
+                    levels, root = levels + 1, root.value[0]
+                return levels
+
+        assert depth_of(bare(cap)) == cap
+        assert under_frames(500, lambda: depth_of(bare(cap))) == cap
+        for frames in (0, 500):
+            with pytest.raises(BadYamlValue):
+                under_frames(frames, lambda: depth_of(bare(cap + 1)))
+
 
 # The two walks _check_value replaced, kept as its oracle.
 def oracle_expanded_size(node, sizes):
@@ -458,7 +506,7 @@ def flow_values(draw, depth_cap, node_cap):
 @given(data=st.data())
 def test_one_walk_matches_the_two_walks(loader, caps, data):
     """_check_value refuses exactly the values the size walk or the depth walk
-    refuses, and none in a text _guarded lets through."""
+    refuses, and none in a text that composed does not flag as guarded."""
     depth_cap, node_cap = caps
     text = data.draw(flow_values(depth_cap, node_cap))
     with mock.patch.multiple(
@@ -476,8 +524,12 @@ def test_one_walk_matches_the_two_walks(loader, caps, data):
         except ValueError:
             refused = True
         assert refused == expected
-        if refused:
-            assert taskparse._guarded(text)
+        if refused:  # composed flags the text, unless its own text cap refuses it
+            try:
+                with composed(text) as (_, _, guarded):
+                    assert guarded
+            except BadYamlValue:
+                pass
 
 
 # A fuzzed text is lines of an indent, an optional dash, an optional key and

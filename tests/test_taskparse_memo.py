@@ -23,9 +23,9 @@ from tasklens.taskparse import (
     DEFAULT_DIRECTIVE_KEYS,
     TaskParseError,
     _collect_task_nodes,
-    _compose,
     _cut_task_list,
     _skeleton_holds,
+    composed,
     parse_tasks,
 )
 
@@ -179,13 +179,11 @@ def _placeholders_hold(skeleton, column, first_line, count):
     lines = skeleton.split("\n")
     assert lines[first_line] == " " * column + "- {}"
     lines[first_line:first_line + 1] = [lines[first_line]] * count
-    loader = taskparse._Loader("\n".join(lines))
     try:
-        nodes = _collect_task_nodes(_compose(loader))
+        with composed("\n".join(lines)) as (_, root, _):
+            nodes = _collect_task_nodes(root)
     except TaskParseError:
         return False
-    finally:
-        loader.dispose()
     return len(nodes) == count and all(
         isinstance(node, yaml.MappingNode)
         and not node.value
