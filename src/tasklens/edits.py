@@ -21,7 +21,7 @@ from .events import (
 from .gestalt import MatchBudgetExceeded
 from .gestalt import edit_fraction as gestalt_edit_fraction
 from .gestalt import similarity_ratio
-from .taskparse import AnsibleTask, TaskParseError, parse_tasks, short_name
+from .taskparse import AnsibleTask, TaskMemo, TaskParseError, parse_tasks, short_name
 
 # Directive keys whose addition counts as YAML reorganization.
 REORG_DIRECTIVE_KEYS = frozenset({"block", "tags", "register", "loop", "become"})
@@ -85,18 +85,21 @@ class TaskCache:
     """Memoizes parse_tasks per exact text; telemetry repeats texts heavily.
 
     A text that does not parse is kept as None: the cache holds results only,
-    never an error object.  It also owns the memos that parse_tasks fills on
-    each miss: the per-item memo, so a snapshot that repeats an earlier
-    snapshot's tasks parses only its new ones, and the skeleton verdicts, so
-    snapshots that differ only in their tasks check the rest of the document
-    once.  Item entries hold only for this cache's directive keys.
+    never an error object.  It also owns the ``TaskMemo`` that parse_tasks
+    fills on each miss: the per-item memo, so a snapshot that repeats an
+    earlier snapshot's tasks parses only its new ones; the skeleton verdicts,
+    so snapshots that differ only in their tasks check the rest of the
+    document once; and the last task-list cut, so the next snapshot of the
+    same playbook rescans only the lines after what the two share.  The cut
+    resumes from whichever text was cut last, so it pays when one playbook's
+    snapshots are parsed in a row.  Item entries hold only for this cache's
+    directive keys.
     """
 
     def __init__(self, directive_keys: tuple[str, ...]):
         self._directive_keys = directive_keys
         self._hits: dict[str, tuple[AnsibleTask, ...] | None] = {}
-        self._items: dict[str, AnsibleTask | None] = {}
-        self._skeletons: dict[tuple[str, int, int], bool] = {}
+        self._memo = TaskMemo()
         self._shown: dict[tuple[str, str | None], AnsibleTask | None] = {}
 
     def parse(self, text: str) -> tuple[AnsibleTask, ...] | None:
@@ -106,7 +109,7 @@ class TaskCache:
         except KeyError:
             pass
         try:
-            tasks = tuple(parse_tasks(text, self._directive_keys, self._items, self._skeletons))
+            tasks = tuple(parse_tasks(text, self._directive_keys, self._memo))
         except TaskParseError:
             tasks = None
         self._hits[text] = tasks

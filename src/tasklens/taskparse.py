@@ -9,19 +9,30 @@ Each parsed task keeps its source lines, dedented to column zero with the list
 dash blanked, so tasks cut from different nesting depths compare line-by-line.
 
 Successive snapshots of one playbook repeat almost all of their tasks, so
-``parse_tasks`` can take a per-item memo: it cuts the task list into its
+``parse_tasks`` can take a ``TaskMemo``: it cuts the task list into its
 items, parses each distinct item once, and checks the rest of the document
 with a skeleton in which the whole task list is one empty placeholder.  A
 repeated ``- {}`` entry leaves the parser in the state it found, so one
 placeholder holds exactly when one per item would; snapshots that differ only
-in their tasks share one skeleton, whose verdict a second memo keeps.  Any
-text the cut cannot vouch for goes through the whole-document parse, which
-stays the only source of errors.
+in their tasks share one skeleton, whose verdict the memo keeps.  The memo
+also keeps the last cut: the next text's cut keeps every item start that lies
+in the prefix the two texts share and scans on from the last of them, so a
+snapshot that grows its list costs the lines it changed, not all its lines.
+Any text the cut cannot vouch for goes through the whole-document parse,
+which stays the only source of errors.
+
+In a text without anchors, values are built by one walk over the nodes that
+makes strings, lists and mappings with string keys itself and hands every
+other node (numbers, booleans, dates, merge keys, sets, binary, complex keys)
+to PyYAML's constructor, so the values and their errors are PyYAML's.  A
+text with anchors goes to PyYAML's constructor whole, which builds an aliased
+node once however many values name it.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -175,27 +186,35 @@ def canonical(value: Any) -> Any:
     return value
 
 
+class TaskMemo:
+    """What ``parse_tasks`` keeps across calls: ``items`` maps the exact text
+    of a task-list item to its parsed task (None when the item does not parse
+    alone), ``skeletons`` keeps the verdicts on the rest of each document, and
+    ``cut`` is the last text's task-list cut, from which the next cut resumes.
+    Item entries hold only for the directive keys they were parsed with.
+    """
+
+    __slots__ = ("items", "skeletons", "cut")
+
+    def __init__(self) -> None:
+        self.items: dict[str, AnsibleTask | None] = {}
+        self.skeletons: dict[tuple[str, int, int], bool] = {}
+        self.cut: _Cut | None = None
+
+
 def parse_tasks(
-    text: str,
-    directive_keys: Iterable[str],
-    memo: dict[str, AnsibleTask | None] | None = None,
-    skeletons: dict[tuple[str, int, int], bool] | None = None,
+    text: str, directive_keys: Iterable[str], memo: TaskMemo | None = None
 ) -> list[AnsibleTask]:
     """Parse every task in a task list, a play's ``tasks:`` section, or a bare fragment.
 
     Raises YamlSyntax for unparseable text, BadYamlValue for text nested too
     deeply or values that cannot be built, and NotATaskShape for valid YAML
-    that is not task-like.
-
-    ``memo`` maps the exact text of a task-list item to its parsed task (None
-    when the item does not parse alone).  Pass the same dict only together
-    with the same ``directive_keys``.  ``skeletons`` keeps the verdicts on the
-    rest of each document across calls; it is required whenever ``memo`` is
-    given.  The result depends on neither.
+    that is not task-like.  Pass one ``memo`` only together with the same
+    ``directive_keys``; the result does not depend on it.
     """
     directives = frozenset(directive_keys)
     if memo is not None:
-        tasks = _parse_by_item(text, directives, memo, skeletons)
+        tasks = _parse_by_item(text, directives, memo)
         if tasks is not None:
             return tasks
     with composed(text) as (loader, root, guarded):
@@ -268,14 +287,50 @@ def composed(text: str):
 
 def _construct(loader, node, guarded: bool) -> Any:
     """The value of ``node``; ``guarded`` says whether the text may hold a
-    hostile value (see composed), which _check_value then refuses."""
+    hostile value (see composed), which _check_value then refuses.
+
+    A guarded text may alias one node from many values; PyYAML's constructor
+    builds each node once per loader, so only a text without anchors, in
+    which every node is reached once, takes the lean walk.
+    """
     try:
         if guarded:
             _check_value(node)
-        return loader.construct_object(node, deep=True)
+            return loader.construct_object(node, deep=True)
+        return _value(loader, node)
     except CONSTRUCT_ERRORS as exc:
         detail = getattr(exc, "problem", None) or exc
         raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
+
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+
+
+def _value(loader, node) -> Any:
+    """What ``loader.construct_object(node, deep=True)`` builds, with less work.
+
+    A string scalar is its text, a list holds its items' values and a mapping
+    whose keys are all string scalars is a dict in which the last duplicate
+    key wins.  Every other node, merge (``<<``) and value (``=``) keys
+    included, goes to PyYAML's constructor.  Each alias would be built anew,
+    so this is only for texts without anchors; there composed keeps the
+    recursion within _MAX_VALUE_DEPTH.
+    """
+    tag = node.tag
+    if tag == _STR_TAG:
+        if isinstance(node, yaml.ScalarNode):
+            return node.value
+    elif tag == _SEQ_TAG:
+        if isinstance(node, yaml.SequenceNode):
+            return [_value(loader, child) for child in node.value]
+    elif tag == _MAP_TAG:
+        if isinstance(node, yaml.MappingNode) and all(
+            key.tag == _STR_TAG and isinstance(key, yaml.ScalarNode) for key, _ in node.value
+        ):
+            return {key.value: _value(loader, child) for key, child in node.value}
+    return loader.construct_object(node, deep=True)
 
 
 def _check_value(node) -> None:
@@ -330,16 +385,49 @@ def _is_item_dash(text: str, index: int) -> bool:
     return text[index] == "-" and text[index + 1:index + 2] in (" ", "\n", "")
 
 
-def _cut_task_list(text: str) -> tuple[int, list[str], str, int] | None:
-    """Cut the first task list into its items: (column, items, skeleton, first line).
+@dataclass(frozen=True, slots=True)
+class _Cut:
+    """A text's task list cut into its items.
 
-    None for a text the cut does not handle.  The list is the one under the
-    first ``tasks:`` line, or a top-level list.  It ends at the first line,
-    neither blank nor a comment, indented at or below its column that does
-    not start an item.  Items keep their original columns, so each parses
-    alone with the marks it has in the document.  The skeleton is the text
-    with all the items replaced by one ``- {}`` line, at line ``first line``
-    and column ``column``.
+    ``starts`` are the offsets at which the items start, in the text as in
+    ``_cut_task_list``'s ``lined``, and ``items`` the items' texts.  The
+    skeleton is the text with all the items replaced by one ``- {}`` line, at
+    line ``first_line`` and column ``column``.
+    """
+
+    text: str
+    column: int
+    starts: list[int]
+    items: list[str]
+    skeleton: str
+    first_line: int
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``: a binary
+    search whose comparisons run at C speed over halving lengths."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _cut_task_list(text: str, previous: _Cut | None = None) -> _Cut | None:
+    """Cut the first task list into its items; None for a text the cut does not handle.
+
+    The list is the one under the first ``tasks:`` line, or a top-level list.
+    It ends at the first line, neither blank nor a comment, indented at or
+    below its column that does not start an item.  Items keep their original
+    columns, so each parses alone with the marks it has in the document.
+
+    ``previous`` is an earlier cut, of any text.  A start of it whose line
+    opening (the line break, the column's spaces, the dash and the character
+    after it) lies in the prefix this text shares with its text is a start
+    here too, so the scan resumes at the last such start.
     """
     # An offset in ``lined`` is one past the same character's offset in
     # ``text``, so a match of "\n" at offset p starts a line at text offset p.
@@ -353,43 +441,49 @@ def _cut_task_list(text: str) -> tuple[int, list[str], str, int] | None:
     column = first.end() - first.start() - 2
     if (key is None and column) or not _is_item_dash(lined, first.end() - 1):
         return None
-    starts = []
+    starts: list[int] = []
+    items: list[str] = []
+    resume = first.start()
+    if previous is not None and previous.column == column and previous.starts[0] == resume:
+        shared = _common_prefix(previous.text, text) + 1  # in ``lined``
+        kept = bisect_right(previous.starts, shared - column - 3)
+        if kept:
+            starts = previous.starts[:kept - 1]
+            items = previous.items[:kept - 1]
+            resume = previous.starts[kept - 1]
     end = len(text)
-    for line in re.compile(r"\n {0,%d}[^ \n#]" % column).finditer(lined, first.start()):
+    for line in re.compile(r"\n {0,%d}[^ \n#]" % column).finditer(lined, resume):
         if line.end() - line.start() - 2 == column and _is_item_dash(lined, line.end() - 1):
             starts.append(line.start())
         else:
             end = line.start()
             break
-    items = [text[a:b] for a, b in zip(starts, starts[1:] + [end])]
+    items.extend(text[a:b] for a, b in zip(starts[len(items):], starts[len(items) + 1:] + [end]))
     skeleton = text[:starts[0]] + " " * column + "- {}\n" + text[end:]
-    return column, items, skeleton, text.count("\n", 0, starts[0])
+    return _Cut(text, column, starts, items, skeleton, text.count("\n", 0, starts[0]))
 
 
 def _parse_by_item(
-    text: str,
-    directives: frozenset[str],
-    memo: dict[str, AnsibleTask | None],
-    skeletons: dict[tuple[str, int, int], bool],
+    text: str, directives: frozenset[str], memo: TaskMemo
 ) -> list[AnsibleTask] | None:
     """The tasks of ``text`` from memoized items, or None when the whole document must be parsed."""
-    cut = _cut_task_list(text)
+    cut = _cut_task_list(text, memo.cut)
     if cut is None:
         return None
-    column, items, skeleton, first_line = cut
+    memo.cut = cut
     tasks = []
-    for item in items:
+    for item in cut.items:
         try:
-            task = memo[item]
+            task = memo.items[item]
         except KeyError:
-            task = memo[item] = _parse_item(item, directives)
+            task = memo.items[item] = _parse_item(item, directives)
         if task is None:
             return None
         tasks.append(task)
-    key = (skeleton, column, first_line)
-    holds = skeletons.get(key)
+    key = (cut.skeleton, cut.column, cut.first_line)
+    holds = memo.skeletons.get(key)
     if holds is None:
-        holds = skeletons[key] = _skeleton_holds(*key)
+        holds = memo.skeletons[key] = _skeleton_holds(*key)
     return tasks if holds else None
 
 

@@ -11,11 +11,16 @@ import json
 import os
 import subprocess
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-NAMES = ("deep_suggestion", "dash_snapshot", "question_snapshot", "deep_config")
+NAMES = (
+    "deep_suggestion", "dash_snapshot", "question_snapshot", "deep_config",
+    "alias_suggestion", "alias_snapshot", "int_tag_suggestion", "merge_snapshot",
+    "bad_text_lines",
+)
 
 
 @dataclass(frozen=True)
@@ -23,6 +28,7 @@ class Case:
     args: tuple[str, ...]  # the arguments after "report"
     exit_code: int
     data_quality: dict[str, int]  # counts the report must show; empty on an error exit
+    seconds: float | None = None  # a wall-time bound, where the input's hazard is its cost
 
 
 def _event(index: int, stamp: str, kind: str, **fields) -> str:
@@ -44,17 +50,43 @@ def _accepted(text: str, snapshot: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def alias_chain(levels: int) -> str:
+    """A flow list whose level i holds level i - 1 twice, through aliases."""
+    links = ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, levels)]
+    return "[" + ", ".join(links) + "]"
+
+
 def write_cases(directory: Path) -> dict[str, Case]:
     """Write every case's files into ``directory``; the cases by name."""
     task = "- name: a\n  debug:\n    msg: hi\n"
+    # Thousands of tasks name one value of about 8,000 nodes, just under the
+    # expansion cap: cheap only if the aliased value is built once.
+    aliased = f"- name: a\n  debug: &c {alias_chain(11)}\n" + "- debug: *c\n" * 4000
+    copy = "- name: a\n  copy:\n    src: y\n"
+    # A line that is not UTF-8, and one whose JSON escape spells a lone surrogate.
+    feedback = partial(
+        _event, kind="feedback", stamp="2023-06-01T08:00:09+00:00", stars=3, comment=""
+    )
+    bad_lines = (
+        feedback(8, label="bad ?").encode().replace(b"?", b"\xff\xfe") + b"\n"
+        + feedback(9, label="bad \udc80").encode() + b"\n"
+    )
     files = {
         "deep_suggestion.jsonl": _accepted("[" * 50_000, task),
         "dash_snapshot.jsonl": _accepted(task, "- " * 50_000 + "x"),
         "question_snapshot.jsonl": _accepted(task, "? " * 50_000 + "x"),
         "deep_config.yaml": "[" * 50_000,
+        "alias_suggestion.jsonl": _accepted(f"- name: a\n  debug: {alias_chain(20)}\n", task),
+        "alias_snapshot.jsonl": _accepted(task, aliased),
+        "int_tag_suggestion.jsonl": _accepted("- name: a\n  debug: !!int \n", task),
+        # A merge key goes to PyYAML's constructor, not the lean value walk.
+        "merge_snapshot.jsonl": _accepted(copy, "- name: a\n  copy:\n    <<: {mode: x}\n    src: y\n"),
+        "bad_text_lines.jsonl": _accepted(task, task).encode() + bad_lines,
     }
     for name, content in files.items():
-        (directory / name).write_text(content, encoding="utf-8")
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        (directory / name).write_bytes(content)
 
     def events(name):
         return ("--events", str(directory / f"{name}.jsonl"))
@@ -65,6 +97,16 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "question_snapshot": Case(events("question_snapshot"), 0, {"unparseable_documents": 1}),
         "deep_config": Case(
             events("dash_snapshot") + ("--config", str(directory / "deep_config.yaml")), 2, {}
+        ),
+        "alias_suggestion": Case(events("alias_suggestion"), 0, {"unparseable_suggestions": 1}),
+        "alias_snapshot": Case(events("alias_snapshot"), 0, {"unparseable_documents": 0}, 10.0),
+        "int_tag_suggestion": Case(events("int_tag_suggestion"), 0, {"unparseable_suggestions": 1}),
+        "merge_snapshot": Case(
+            events("merge_snapshot"), 0,
+            {"unparseable_suggestions": 0, "unparseable_documents": 0, "unresolved_outcomes": 0},
+        ),
+        "bad_text_lines": Case(
+            events("bad_text_lines"), 0, {"malformed_lines": 2, "unparseable_suggestions": 0}
         ),
     }
 

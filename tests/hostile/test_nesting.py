@@ -1,8 +1,10 @@
-"""Texts nested tens of thousands of levels deep: each one is unparseable
-text, counted in the report, or a bad config, never a crash."""
+"""Hostile texts (nested tens of thousands of levels deep, aliased, badly
+tagged or encoded): each one is unparseable text, counted in the report, or a
+bad config, never a crash."""
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -17,7 +19,10 @@ def cases(tmp_path_factory):
 @pytest.mark.parametrize("name", NAMES)
 def test_report_survives(cases, name):
     case = cases[name]
+    start = time.perf_counter()
     result = run_report(sys.executable, case.args)
+    if case.seconds is not None:
+        assert time.perf_counter() - start < case.seconds
     assert result.returncode == case.exit_code, result.stderr.decode(errors="replace")[-2000:]
     if case.exit_code == 0:
         quality = json.loads(result.stdout)["data_quality"]

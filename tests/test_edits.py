@@ -469,9 +469,9 @@ class TestTaskCache:
         with pytest.raises(NotATaskShape):
             parse(doc)
         assert default.parse(doc) is None
-        assert custom._items and default._items
-        for key, task in default._items.items():
-            assert custom._items.get(key) is not task
+        assert custom._memo.items and default._memo.items
+        for key, task in default._memo.items.items():
+            assert custom._memo.items.get(key) is not task
         assert custom.parse(doc + "    - name: v\n      debug:\n        msg: hu\n")[1] is second
 
     def test_failed_lookups_keep_no_memory(self):

@@ -6,6 +6,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hostile.cases import alias_chain
 from tasklens import taskparse
 from tasklens.taskparse import (
     DEFAULT_DIRECTIVE_KEYS,
@@ -14,6 +15,7 @@ from tasklens.taskparse import (
     ModuleName,
     NotATaskShape,
     RAW_PARAMS_KEY,
+    TaskMemo,
     TaskParseError,
     YamlSyntax,
     canonical,
@@ -25,9 +27,9 @@ from tasklens.taskparse import (
 
 
 def parse(text, memo=None):
-    """parse_tasks with the default directive keys; a memo comes with a fresh
-    skeleton memo."""
-    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS, memo, None if memo is None else {})
+    """parse_tasks with the default directive keys: the whole-document parse
+    when ``memo`` is None, else through a fresh TaskMemo."""
+    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS, None if memo is None else TaskMemo())
 
 
 FIG1_STYLE = """\
@@ -252,12 +254,6 @@ class TestLoaderIndependence:
         monkeypatch.setattr(taskparse, "_Loader", loader)
         with pytest.raises(YamlSyntax):
             parse(text, memo=memo)
-
-
-def alias_chain(levels):
-    """A flow list whose level i holds level i - 1 twice, through aliases."""
-    chain = ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, levels)]
-    return "[" + ", ".join(chain) + "]"
 
 
 class TestUnconstructableValues:
@@ -589,3 +585,114 @@ def test_fuzzed_texts_raise_only_task_parse_errors(text):
                 verdicts.append(_verdict(text, memo))
                 assert time.perf_counter() - started < 1.0
     assert all(verdict == verdicts[0] for verdict in verdicts)
+
+
+def same_value(a, b):
+    """Equal and of one type all the way down, so True is not 1 and 1.0 is not 1;
+    mappings also keep one key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            same_value(key_a, key_b) and same_value(value_a, value_b)
+            for (key_a, value_a), (key_b, value_b) in zip(a.items(), b.items())
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, (set, frozenset)):
+        return {(type(x), x) for x in a} == {(type(x), x) for x in b}
+    return a == b
+
+
+def _built(text, build):
+    """``build(loader, root)`` on the text's nodes, or the class of what it
+    raised; None when the text does not compose, holds no value, or holds one
+    that _check_value refuses."""
+    try:
+        with composed(text) as (loader, root, guarded):
+            if root is None:
+                return None
+            if guarded:
+                try:
+                    taskparse._check_value(root)
+                except ValueError:
+                    return None
+            try:
+                return ("value", build(loader, root))
+            except taskparse.CONSTRUCT_ERRORS as exc:
+                return ("error", type(exc))
+    except TaskParseError:
+        return None
+
+
+def assert_walk_is_pyyaml(text):
+    """The lean walk builds what PyYAML's deep construction builds, or fails as it does.
+
+    Each side composes the text afresh: PyYAML's constructor rewrites merge
+    and value keys in the nodes it builds."""
+    walked = _built(text, taskparse._value)
+    built = _built(text, lambda loader, root: loader.construct_object(root, deep=True))
+    assert (walked is None) == (built is None)
+    if walked is not None:
+        assert walked[0] == built[0], (walked, built)
+        if walked[0] == "value":
+            assert same_value(walked[1], built[1]), (walked, built)
+        else:
+            assert walked[1] is built[1]
+
+
+VALUE_WALK_CASES = {
+    "merge key": "<<: {a: 1}\nb: 2",
+    "merged task option": "- name: a\n  copy:\n    <<: {mode: x}\n    src: y\n",
+    "value key": "=: x\na: 1",
+    "value key as a value": "a: =",
+    "set": "!!set {x, y}",
+    "omap": "!!omap [x: 1, y: 2]",
+    "binary": "!!binary aGVsbG8=",
+    "duplicate keys": "a: 1\nb: 2\na: [3]\nb: x\n",
+    "complex key": "? [a, b]\n: c",
+    "int and null keys": "1: a\nnull: b\n'1': c",
+    "str-tagged int": "!!str 1",
+    "str tag on a list": "!!str [a]",
+    "seq tag on a mapping": "!!seq {a: b}",
+    "map tag on a list": "!!map [a]",
+    "timestamp": "[2001-12-14, 2001-12-14t21:59:43.10-05:00]",
+    "float and int": "[1.0, 1, true, '1', 0o14, 0x1f, .inf]",
+    "anchor used twice": "x: &a {k: [v, 1]}\ny: *a\nz: [*a, *a]",
+    "anchored key": "? &k a\n: 1\n*k : 2",
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text", VALUE_WALK_CASES.values(), ids=VALUE_WALK_CASES.keys())
+def test_value_walk_equals_pyyaml_on_named_values(monkeypatch, loader, text):
+    monkeypatch.setattr(taskparse, "_Loader", loader)
+    assert _built(text, taskparse._value) is not None
+    assert_walk_is_pyyaml(text)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=yaml_texts())
+def test_value_walk_equals_pyyaml_on_fuzzed_texts(loader, text):
+    with mock.patch.object(taskparse, "_Loader", loader):
+        assert_walk_is_pyyaml(text)
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["whole", "memo"])
+def test_aliased_value_is_built_once(memo):
+    """A text with anchors is built by PyYAML's constructor, which builds an
+    aliased node once for every value that names it, not once per alias."""
+    text = "- debug: &a {msg: [x]}\n- debug: *a\n- name: b\n  debug: *a\n"
+    tasks = parse(text, memo={} if memo else None)
+    assert tasks[0].options == {"msg": ["x"]}
+    assert tasks[1].options is tasks[0].options and tasks[2].options is tasks[0].options
+
+
+def test_same_value_is_type_strict():
+    assert same_value({"a": [1, {"b"}]}, {"a": [1, {"b"}]})
+    assert not same_value(True, 1)
+    assert not same_value(1.0, 1)
+    assert not same_value({1: "a"}, {"1": "a"})
+    assert not same_value({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    assert not same_value({1}, {True})

@@ -7,7 +7,8 @@ whole-document parse (anchors and aliases, items with a ``tasks`` key, broken
 items, tabs, directives).  Each playbook is also parsed as a growing series of
 snapshots through one memo, the way TaskCache sees a user's edits.  The same
 playbooks check that a skeleton with one placeholder gets the verdict that
-one placeholder per item would.  Both properties run under each loader,
+one placeholder per item would, and, edited step by step, that a cut resumed
+from the last one equals a fresh cut.  The properties run under each loader,
 with libyaml and without.
 """
 
@@ -19,9 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tasklens import taskparse
+from tasklens.edits import TaskCache
 from tasklens.taskparse import (
     DEFAULT_DIRECTIVE_KEYS,
+    TaskMemo,
     TaskParseError,
+    _Cut,
     _collect_task_nodes,
     _cut_task_list,
     _skeleton_holds,
@@ -117,6 +121,18 @@ BROKEN = st.sampled_from(
 
 
 @st.composite
+def list_items(draw, column):
+    """One task-list item's lines at ``column``, now and then with a blank,
+    comment or broken line inside."""
+    lines = draw(task_lines())
+    item = [" " * column + "- " + lines[0]] + [" " * (column + 2) + line for line in lines[1:]]
+    for _ in range(draw(st.integers(0, 1))):
+        extra = draw(st.one_of(BETWEEN, BETWEEN, BROKEN))
+        item.insert(draw(st.integers(1, len(item))), extra)
+    return item
+
+
+@st.composite
 def playbooks(draw):
     layout = draw(st.sampled_from(["top", "play", "play", "mapping"]))
     column = {"top": 0, "play": draw(st.sampled_from([2, 4])), "mapping": 2}[layout]
@@ -125,14 +141,7 @@ def playbooks(draw):
         head += ["- hosts: all", "  become: true", "  tasks:"]
     elif layout == "mapping":
         head += ["tasks:"]
-    items = []
-    for _ in range(draw(st.integers(1, 5))):
-        lines = draw(task_lines())
-        item = [" " * column + "- " + lines[0]] + [" " * (column + 2) + line for line in lines[1:]]
-        for _ in range(draw(st.integers(0, 1))):
-            extra = draw(st.one_of(BETWEEN, BETWEEN, BROKEN))
-            item.insert(draw(st.integers(1, len(item))), extra)
-        items.append(item)
+    items = [draw(list_items(column)) for _ in range(draw(st.integers(1, 5)))]
     tail = []
     if layout == "play":
         tail = draw(
@@ -149,13 +158,13 @@ def playbooks(draw):
     return head, items, tail, ending
 
 
-def parse(text, memo=None, skeletons=None):
-    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS, memo, skeletons)
+def parse(text, memo=None):
+    return parse_tasks(text, DEFAULT_DIRECTIVE_KEYS, memo)
 
 
-def _outcome(text, memo=None, skeletons=None):
+def _outcome(text, memo=None):
     try:
-        return parse(text, memo, skeletons)
+        return parse(text, memo)
     except Exception as exc:  # the class is what must match
         return type(exc)
 
@@ -165,12 +174,12 @@ def _outcome(text, memo=None, skeletons=None):
 @given(playbook=playbooks())
 def test_memo_matches_whole_document_parse(loader, playbook):
     head, items, tail, ending = playbook
-    memo, skeletons = {}, {}
+    memo = TaskMemo()
     with mock.patch.object(taskparse, "_Loader", loader):
         for count in range(1, len(items) + 1):
             lines = head + [line for item in items[:count] for line in item] + tail
             text = "\n".join(lines) + ending
-            assert _outcome(text, memo, skeletons) == _outcome(text)
+            assert _outcome(text, memo) == _outcome(text)
 
 
 def _placeholders_hold(skeleton, column, first_line, count):
@@ -206,31 +215,31 @@ def test_one_placeholder_verdict_equals_one_per_item(loader, playbook):
             cut = _cut_task_list(text)
             if cut is None:
                 continue
-            column, cut_items, skeleton, first_line = cut
-            verdict = _skeleton_holds(skeleton, column, first_line)
-            for placeholders in {len(cut_items), 3}:
-                assert _placeholders_hold(skeleton, column, first_line, placeholders) == verdict
+            key = (cut.skeleton, cut.column, cut.first_line)
+            verdict = _skeleton_holds(*key)
+            for placeholders in {len(cut.items), 3}:
+                assert _placeholders_hold(*key, placeholders) == verdict
 
 
 def test_memo_reuses_items_across_snapshots():
     task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
     head = "- hosts: all\n  tasks:\n"
-    memo, skeletons = {}, {}
-    small = parse(head + task.format(1) + task.format(2), memo, skeletons)
-    grown = parse(head + task.format(1) + task.format(2) + task.format(3), memo, skeletons)
+    memo = TaskMemo()
+    small = parse(head + task.format(1) + task.format(2), memo)
+    grown = parse(head + task.format(1) + task.format(2) + task.format(3), memo)
     assert grown[:2] == small
     assert grown[0] is small[0] and grown[1] is small[1]
-    assert len(memo) == 3
+    assert len(memo.items) == 3
 
 
 def test_snapshots_share_one_skeleton_verdict():
     task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
     head, tail = "- hosts: all\n  tasks:\n", "  handlers: []\n"
-    memo, skeletons = {}, {}
+    memo = TaskMemo()
     for count in (1, 2, 5):
         text = head + "".join(task.format(i) for i in range(count)) + tail
-        assert parse(text, memo, skeletons) == parse(text)
-    assert skeletons == {(head + "    - {}\n" + tail, 4, 2): True}
+        assert parse(text, memo) == parse(text)
+    assert memo.skeletons == {(head + "    - {}\n" + tail, 4, 2): True}
 
 
 def test_anchor_shared_across_items_falls_back():
@@ -239,10 +248,10 @@ def test_anchor_shared_across_items_falls_back():
         "    - debug:\n        msg: &m hello\n"
         "    - debug:\n        msg: *m\n"
     )
-    memo, skeletons = {}, {}
-    assert parse(text, memo, skeletons) == parse(text)
-    assert parse(text, memo, skeletons)[1].options == {"msg": "hello"}
-    assert memo == {}
+    memo = TaskMemo()
+    assert parse(text, memo) == parse(text)
+    assert parse(text, memo)[1].options == {"msg": "hello"}
+    assert memo.items == {}
 
 
 def test_tag_directive_falls_back():
@@ -250,4 +259,93 @@ def test_tag_directive_falls_back():
         "%TAG !! tag:example.com,2000:\n---\n"
         "- hosts: all\n  tasks:\n    - debug:\n        msg: !!str 5\n"
     )
-    assert _outcome(text, {}, {}) == _outcome(text)
+    assert _outcome(text, TaskMemo()) == _outcome(text)
+
+
+EDITS = ["append", "change", "insert", "delete", "handlers", "header", "no_newline", "comment",
+         "tasks_key"]
+
+
+def _edit(data, kind, playbook, column):
+    """Apply one edit of ``kind`` to ``playbook`` (head, items, tail, ending)."""
+    head, items, tail, ending = playbook
+    at = data.draw(st.integers(0, len(items)))
+    if kind == "append":
+        items.append(data.draw(list_items(column)))
+    elif kind == "insert":
+        items.insert(at, data.draw(list_items(column)))
+    elif kind == "delete" and len(items) > 1:
+        del items[min(at, len(items) - 1)]
+    elif kind == "change":  # one character into one line, the dash's line included
+        item = items[min(at, len(items) - 1)]
+        row = data.draw(st.integers(0, len(item) - 1))
+        place = data.draw(st.integers(0, len(item[row])))
+        char = data.draw(st.sampled_from(["z", " ", "-", ":", "#", "["]))
+        item[row] = item[row][:place] + char + item[row][place:]
+    elif kind == "handlers":
+        key = " " * max(column - 2, 0)
+        tail[:0] = [key + "handlers:", key + "  - name: restart", key + "    debug:",
+                    key + "      msg: h"]
+    elif kind == "header":
+        if "- hosts: all" in head:
+            head[head.index("- hosts: all")] = "- hosts: " + data.draw(WORDS)
+        else:
+            head.insert(0, "# edited")
+    elif kind == "no_newline":
+        playbook[3] = ""
+    elif kind == "comment":
+        item = items[min(at, len(items) - 1)]
+        item.insert(data.draw(st.integers(1, len(item))), " " * column + "# note")
+    elif kind == "tasks_key":  # a list that had no "tasks:" line may gain one
+        items[-1].append(" " * max(column - 2, 0) + "tasks:")
+
+
+def _whole(text):
+    try:
+        return tuple(parse(text))
+    except TaskParseError:
+        return None
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_resumed_cut_equals_a_fresh_cut(loader, data):
+    """A playbook edited step by step: after each edit the cut resumed from the
+    last cut equals a fresh cut, and TaskCache, whose memo resumes the same
+    way, gives the whole-document parse."""
+    head, items, tail, ending = data.draw(playbooks())
+    playbook = [head, items, tail, ending]
+    column = len(items[0][0]) - len(items[0][0].lstrip(" "))
+    cache = TaskCache(DEFAULT_DIRECTIVE_KEYS)
+    previous = None
+    with mock.patch.object(taskparse, "_Loader", loader):
+        for kind in [None] + data.draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=8)):
+            if kind is not None:
+                _edit(data, kind, playbook, column)
+            head, items, tail, ending = playbook
+            text = "\n".join(head + [line for item in items for line in item] + tail) + ending
+            fresh = _cut_task_list(text)
+            assert _cut_task_list(text, previous) == fresh
+            previous = fresh or previous
+            assert cache.parse(text) == _whole(text)
+
+
+def test_cut_resumes_from_the_shared_prefix():
+    """A grown snapshot keeps the earlier items' texts; an edit re-slices from the
+    item it touches on, and a changed first line makes a fresh cut."""
+    task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
+    head = "- hosts: all\n  tasks:\n"
+    small = _cut_task_list(head + task.format(1) + task.format(2) + "  handlers: []\n")
+    grown = _cut_task_list(head + "".join(task.format(i) for i in (1, 2, 3)), small)
+    assert isinstance(grown, _Cut) and grown.items[0] is small.items[0]
+    assert grown.items[1] == small.items[1] and grown.items[1] is not small.items[1]
+    assert grown == _cut_task_list(grown.text)
+    edited = grown.text.replace("msg: m2", "msg: m9")
+    resumed = _cut_task_list(edited, grown)
+    assert resumed.items[0] is grown.items[0] and resumed == _cut_task_list(edited)
+    moved = _cut_task_list("# new\n" + grown.text, grown)
+    assert moved.items[0] is not grown.items[0] and moved == _cut_task_list(moved.text)
+    top = _cut_task_list("- debug: a\n- debug: b\n")
+    keyed = "- debug: a\ntasks:\n- debug: b\n"  # the list now starts under the key
+    assert _cut_task_list(keyed, top) == _cut_task_list(keyed)
