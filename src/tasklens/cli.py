@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from datetime import date
 from pathlib import Path
@@ -22,6 +23,8 @@ from .report import (
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
@@ -30,10 +33,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_date(text: str) -> date:
+    """Exactly ``YYYY-MM-DD``: ``date.fromisoformat`` alone would also take
+    other ISO forms (``20230601``, ``2023-W22-4``) from Python 3.11 on."""
     try:
-        return date.fromisoformat(text[:10])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a date: {text!r}")
+        if _DATE.fullmatch(text):
+            return date.fromisoformat(text)
+    except ValueError:  # no such day, such as 2023-02-30
+        pass
+    raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,19 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .events import DEDUP_WINDOW_SECONDS
-from .taskparse import CONSTRUCT_ERRORS, DEFAULT_DIRECTIVE_KEYS, TaskParseError, composed
+from .taskparse import DEFAULT_DIRECTIVE_KEYS, TaskParseError, composed
 
 
 class BadConfig(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")
         self.key = key
+
+
+# The report lists every day of the retention curve, so the horizon is capped
+# at about a century: a larger one costs time and report bytes for days that
+# no log can reach, and past year 9999 it overflows the date type.
+MAX_RETENTION_HORIZON = 36_500
 
 
 @dataclass(frozen=True)
@@ -36,8 +42,8 @@ class Config:
             raise BadConfig("rename_match_floor", "must be within [0, 1]")
         if self.dedup_window_seconds < 0:
             raise BadConfig("dedup_window_seconds", "must be non-negative")
-        if self.retention_horizon < 1:
-            raise BadConfig("retention_horizon", "must be at least 1")
+        if not 1 <= self.retention_horizon <= MAX_RETENTION_HORIZON:
+            raise BadConfig("retention_horizon", f"must be from 1 to {MAX_RETENTION_HORIZON} days")
 
 
 _KNOWN_KEYS = frozenset(f.name for f in fields(Config))
@@ -51,15 +57,18 @@ def load_config(path: str | Path | None) -> Config:
     if not path.exists():
         return Config()
     try:
-        with composed(path.read_text(encoding="utf-8")) as (loader, root, _):
-            raw = None if root is None else loader.construct_document(root)
-    except (TaskParseError, *CONSTRUCT_ERRORS) as exc:
+        with composed(path.read_text(encoding="utf-8")) as (root, build):
+            raw = None if root is None else build(root)
+    except (TaskParseError, UnicodeDecodeError) as exc:
         raise BadConfig("<file>", f"not parseable: {exc}") from None
     if raw is None:
         return Config()
     if not isinstance(raw, dict):
         raise BadConfig("<file>", "top level must be a mapping")
 
+    for key in raw:
+        if not isinstance(key, str):
+            raise BadConfig(str(key), "keys must be strings")
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise BadConfig(sorted(unknown)[0], "unknown key")

@@ -141,7 +141,7 @@ def name_from_prompt(prompt: str) -> str | None:
     return stripped or None
 
 
-def pair_outcomes(timeline: UserTimeline, config: Config, cache: TaskCache) -> PairingResult:
+def pair_outcomes(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     """Pre-classification pairing of suggestions with actions and content.
 
     Suggestions with no action are Ignored; actions whose suggestion id never
@@ -151,13 +151,13 @@ def pair_outcomes(timeline: UserTimeline, config: Config, cache: TaskCache) -> P
     prompts: dict[str, str] = {}
     actions: dict[str, tuple[UserAction, int]] = {}  # sid -> (action, event index)
     contents: list[tuple[int, ContentEvent]] = []
-    suggestions: list[tuple[int, SuggestionEvent]] = []
+    suggestions: list[SuggestionEvent] = []
     suggestion_ids: set[str] = set()
 
     for idx, event in enumerate(timeline.events):
         cls = type(event)
         if cls is SuggestionEvent:
-            suggestions.append((idx, event))
+            suggestions.append(event)
             suggestion_ids.add(event.suggestion_id)
         elif cls is CompletionEvent:
             prompts.setdefault(event.suggestion_id, event.prompt)
@@ -171,7 +171,7 @@ def pair_outcomes(timeline: UserTimeline, config: Config, cache: TaskCache) -> P
 
     outcomes: list[SuggestionOutcome] = []
     unparseable = 0
-    for sugg_idx, event in suggestions:
+    for event in suggestions:
         prompt = prompts.get(event.suggestion_id)
         prompt_name = name_from_prompt(prompt) if prompt is not None else None
         shown = cache.shown_task(event.suggestion_text, prompt_name)
@@ -183,8 +183,7 @@ def pair_outcomes(timeline: UserTimeline, config: Config, cache: TaskCache) -> P
         decision = action_entry[0] if action_entry else UserAction.IGNORED
         committed_doc = None
         if decision is UserAction.ACCEPTED:
-            after = action_entry[1] if action_entry else sugg_idx
-            pos = bisect_left(content_indices, after)
+            pos = bisect_left(content_indices, action_entry[1])
             if pos < len(contents):
                 committed_doc = contents[pos][1].document_text
 
@@ -356,6 +355,6 @@ def module_edit_tags(
 
 def analyze_timeline(timeline: UserTimeline, config: Config, cache: TaskCache) -> PairingResult:
     """pair + classify for one user; the result holds the classified outcomes."""
-    paired = pair_outcomes(timeline, config, cache)
+    paired = pair_outcomes(timeline, cache)
     paired.outcomes = [classify_outcome(o, config, cache) for o in paired.outcomes]
     return paired

@@ -21,12 +21,14 @@ snapshot that grows its list costs the lines it changed, not all its lines.
 Any text the cut cannot vouch for goes through the whole-document parse,
 which stays the only source of errors.
 
-In a text without anchors, values are built by one walk over the nodes that
-makes strings, lists and mappings with string keys itself and hands every
-other node (numbers, booleans, dates, merge keys, sets, binary, complex keys)
-to PyYAML's constructor, so the values and their errors are PyYAML's.  A
-text with anchors goes to PyYAML's constructor whole, which builds an aliased
-node once however many values name it.
+Values, a config file's included, are built by one function: the builder
+``composed`` hands out with a text's nodes.  It first refuses a hostile value
+when the text may hold one, then walks the nodes: it makes strings, lists and
+mappings with string keys itself and hands every other node (numbers,
+booleans, dates, merge keys, sets, binary, complex keys) to PyYAML's
+constructor, so the values and their errors are PyYAML's.  Like that
+constructor, it builds an aliased node once and shares the result among all
+the values that name it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ from typing import Any, Iterable
 import yaml
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# What building a value can raise under either safe loader: YAMLError for
-# recursive aliases and unknown tags, ValueError for bad !!int/!!float/timestamp
-# literals, IndexError for an empty or sign-only !!int/!!float, KeyError for an
-# unknown !!bool word and AttributeError for a malformed !!timestamp.
-CONSTRUCT_ERRORS = (yaml.YAMLError, ValueError, LookupError, AttributeError)
 
 # Standard task keywords; "tag" is accepted as an alias of "tags" on input.
 # Extend via config when a playbook uses keywords not listed here.
@@ -217,13 +213,13 @@ def parse_tasks(
         tasks = _parse_by_item(text, directives, memo)
         if tasks is not None:
             return tasks
-    with composed(text) as (loader, root, guarded):
+    with composed(text) as (root, build):
         if root is None or (
             isinstance(root, yaml.ScalarNode) and root.tag == "tag:yaml.org,2002:null"
         ):
             return []
         text_lines = text.splitlines()
-        return [_task_from_node(node, loader, text_lines, directives, guarded)
+        return [_task_from_node(node, build, text_lines, directives)
                 for node in _collect_task_nodes(root)]
 
 
@@ -251,11 +247,12 @@ _MAX_TEXT_DEPTH = 100
 
 @contextmanager
 def composed(text: str):
-    """Yield ``(loader, root, guarded)``: the nodes of ``text`` and the open
-    loader that builds their values.  ``guarded`` is False when the text can
-    hold no hostile value: it defines no anchor and nests no deeper than
-    _MAX_VALUE_DEPTH.  Raises YamlSyntax for unparseable text and BadYamlValue
-    for text nested deeper than _MAX_TEXT_DEPTH.
+    """Yield ``(root, build)``: the root node of ``text`` and the only builder
+    of its values.  ``build(node)`` raises BadYamlValue for a value that
+    cannot be built, or, when the text may hold a hostile value (it defines an
+    anchor or nests deeper than _MAX_VALUE_DEPTH), one that _check_value
+    refuses.  Raises YamlSyntax for unparseable text and BadYamlValue for text
+    nested deeper than _MAX_TEXT_DEPTH.
     """
     # libyaml accepts some tabs that the pure-Python loader refuses; one
     # loader for such texts keeps their verdict the same on every install.
@@ -280,27 +277,25 @@ def composed(text: str):
             mark = getattr(exc, "problem_mark", None)
             line = mark.line + 1 if mark is not None else None
             raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
-        yield loader, root, "&" in text or deepest > _MAX_VALUE_DEPTH
+        guarded = "&" in text or deepest > _MAX_VALUE_DEPTH
+
+        # What building a value can raise under either safe loader: YAMLError
+        # for unknown tags and unhashable keys, ValueError for _check_value's
+        # refusals and bad !!int/!!float/timestamp literals, IndexError for an
+        # empty or sign-only !!int/!!float, KeyError for an unknown !!bool word
+        # and AttributeError for a malformed !!timestamp.
+        def build(node) -> Any:
+            try:
+                if guarded:
+                    _check_value(node)
+                return _value(loader, node)
+            except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+                detail = getattr(exc, "problem", None) or exc
+                raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
+
+        yield root, build
     finally:
         loader.dispose()
-
-
-def _construct(loader, node, guarded: bool) -> Any:
-    """The value of ``node``; ``guarded`` says whether the text may hold a
-    hostile value (see composed), which _check_value then refuses.
-
-    A guarded text may alias one node from many values; PyYAML's constructor
-    builds each node once per loader, so only a text without anchors, in
-    which every node is reached once, takes the lean walk.
-    """
-    try:
-        if guarded:
-            _check_value(node)
-            return loader.construct_object(node, deep=True)
-        return _value(loader, node)
-    except CONSTRUCT_ERRORS as exc:
-        detail = getattr(exc, "problem", None) or exc
-        raise BadYamlValue(f"cannot construct YAML value: {detail}") from None
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -314,23 +309,27 @@ def _value(loader, node) -> Any:
     A string scalar is its text, a list holds its items' values and a mapping
     whose keys are all string scalars is a dict in which the last duplicate
     key wins.  Every other node, merge (``<<``) and value (``=``) keys
-    included, goes to PyYAML's constructor.  Each alias would be built anew,
-    so this is only for texts without anchors; there composed keeps the
-    recursion within _MAX_VALUE_DEPTH.
+    included, goes to PyYAML's constructor.  The lists and dicts go into the
+    constructor's ``constructed_objects``, as its own do, so a node named by
+    many aliases is built once.  The recursion stays within _MAX_VALUE_DEPTH:
+    composed checks every text that could nest deeper.
     """
     tag = node.tag
-    if tag == _STR_TAG:
-        if isinstance(node, yaml.ScalarNode):
-            return node.value
-    elif tag == _SEQ_TAG:
-        if isinstance(node, yaml.SequenceNode):
-            return [_value(loader, child) for child in node.value]
-    elif tag == _MAP_TAG:
-        if isinstance(node, yaml.MappingNode) and all(
-            key.tag == _STR_TAG and isinstance(key, yaml.ScalarNode) for key, _ in node.value
-        ):
-            return {key.value: _value(loader, child) for key, child in node.value}
-    return loader.construct_object(node, deep=True)
+    if tag == _STR_TAG and isinstance(node, yaml.ScalarNode):
+        return node.value
+    built = loader.constructed_objects.get(node)
+    if built is not None:
+        return built
+    if tag == _SEQ_TAG and isinstance(node, yaml.SequenceNode):
+        built = [_value(loader, child) for child in node.value]
+    elif tag == _MAP_TAG and isinstance(node, yaml.MappingNode) and all(
+        key.tag == _STR_TAG and isinstance(key, yaml.ScalarNode) for key, _ in node.value
+    ):
+        built = {key.value: _value(loader, child) for key, child in node.value}
+    else:
+        return loader.construct_object(node, deep=True)
+    loader.constructed_objects[node] = built
+    return built
 
 
 def _check_value(node) -> None:
@@ -494,13 +493,13 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
     make the whole list read as plays.
     """
     try:
-        with composed(item) as (loader, root, guarded):
+        with composed(item) as (root, build):
             if not isinstance(root, yaml.SequenceNode) or len(root.value) != 1:
                 return None
             node = root.value[0]
             if not isinstance(node, yaml.MappingNode) or _mapping_value(node, "tasks") is not None:
                 return None
-            return _task_from_node(node, loader, item.splitlines(), directives, guarded)
+            return _task_from_node(node, build, item.splitlines(), directives)
     except TaskParseError:
         return None
 
@@ -508,7 +507,7 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
 def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
     """Whether the skeleton's only task node is its placeholder."""
     try:
-        with composed(skeleton) as (_, root, _):
+        with composed(skeleton) as (root, _):
             nodes = _collect_task_nodes(root)
     except TaskParseError:
         return False
@@ -584,9 +583,7 @@ def _dedent_task_lines(lines: list[str], indent: int) -> list[str]:
     return out
 
 
-def _task_from_node(
-    node, loader, text_lines: list[str], directives: frozenset[str], guarded: bool
-) -> AnsibleTask:
+def _task_from_node(node, build, text_lines: list[str], directives: frozenset[str]) -> AnsibleTask:
     if not isinstance(node, yaml.MappingNode):
         raise NotATaskShape("task entry is not a mapping")
 
@@ -609,7 +606,7 @@ def _task_from_node(
             raise NotATaskShape("task keys must be strings")
 
         if key == "name":
-            value = _construct(loader, value_node, guarded)
+            value = build(value_node)
             name = "" if value is None else str(value)
             lo = key_node.start_mark.line - start
             _, hi_end = _node_line_span(value_node, text_lines)
@@ -617,12 +614,12 @@ def _task_from_node(
             continue
         if key in directives:
             stored = "tags" if key == "tag" else key
-            directive_map[stored] = _construct(loader, value_node, guarded)
+            directive_map[stored] = build(value_node)
             continue
         if module is not None:
             raise NotATaskShape(f"second module key {key!r} next to {module}")
         module = parse_module_name(key)
-        body = _construct(loader, value_node, guarded)
+        body = build(value_node)
         if body is None:
             options = {}
         elif isinstance(body, dict):

@@ -1,8 +1,9 @@
 """Hostile inputs, generated when a test runs, and the CLI run on them.
 
-Each case is a ``tasklens report`` command line with the exit code and the
-``data_quality`` counts it must give.  The CLI runs in a subprocess, so an
-input that crashes the interpreter fails its test instead of ending the run.
+Each case is a ``tasklens report`` command line with the exit code it must
+give and either the ``data_quality`` counts of its report or what its error
+message must say.  The CLI runs in a subprocess, so an input that crashes the
+interpreter fails its test instead of ending the run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 NAMES = (
     "deep_suggestion", "dash_snapshot", "question_snapshot", "deep_config",
     "alias_suggestion", "alias_snapshot", "int_tag_suggestion", "merge_snapshot",
-    "bad_text_lines",
+    "bad_text_lines", "alias_config", "int_key_config", "horizon_config", "week_date_window",
 )
 
 
@@ -29,6 +30,7 @@ class Case:
     exit_code: int
     data_quality: dict[str, int]  # counts the report must show; empty on an error exit
     seconds: float | None = None  # a wall-time bound, where the input's hazard is its cost
+    error: str = ""  # what stderr must say on an error exit
 
 
 def _event(index: int, stamp: str, kind: str, **fields) -> str:
@@ -82,6 +84,12 @@ def write_cases(directory: Path) -> dict[str, Case]:
         # A merge key goes to PyYAML's constructor, not the lean value walk.
         "merge_snapshot.jsonl": _accepted(copy, "- name: a\n  copy:\n    <<: {mode: x}\n    src: y\n"),
         "bad_text_lines.jsonl": _accepted(task, task).encode() + bad_lines,
+        # 15,000 names aliased 11,250 times: 169 million names once expanded,
+        # though identical names keep the built config small.
+        "alias_config.yaml": "directive_keys: &a [" + ", ".join(["m"] * 15_000) + "]\n"
+        + "similar_modules: [" + ", ".join(["*a"] * 11_250) + "]\n",
+        "int_key_config.yaml": "1: x\nfoo: y\n",
+        "horizon_config.yaml": "retention_horizon: 1.0e+300\n",
     }
     for name, content in files.items():
         if isinstance(content, str):
@@ -91,13 +99,15 @@ def write_cases(directory: Path) -> dict[str, Case]:
     def events(name):
         return ("--events", str(directory / f"{name}.jsonl"))
 
+    def bad_config(name, error, seconds=None):
+        args = events("dash_snapshot") + ("--config", str(directory / f"{name}.yaml"))
+        return Case(args, 2, {}, seconds, error)
+
     return {
         "deep_suggestion": Case(events("deep_suggestion"), 0, {"unparseable_suggestions": 1}),
         "dash_snapshot": Case(events("dash_snapshot"), 0, {"unparseable_documents": 1}),
         "question_snapshot": Case(events("question_snapshot"), 0, {"unparseable_documents": 1}),
-        "deep_config": Case(
-            events("dash_snapshot") + ("--config", str(directory / "deep_config.yaml")), 2, {}
-        ),
+        "deep_config": bad_config("deep_config", "nested deeper than 100 levels"),
         "alias_suggestion": Case(events("alias_suggestion"), 0, {"unparseable_suggestions": 1}),
         "alias_snapshot": Case(events("alias_snapshot"), 0, {"unparseable_documents": 0}, 10.0),
         "int_tag_suggestion": Case(events("int_tag_suggestion"), 0, {"unparseable_suggestions": 1}),
@@ -107,6 +117,14 @@ def write_cases(directory: Path) -> dict[str, Case]:
         ),
         "bad_text_lines": Case(
             events("bad_text_lines"), 0, {"malformed_lines": 2, "unparseable_suggestions": 0}
+        ),
+        "alias_config": bad_config("alias_config", "aliases expand it", 3.0),
+        "int_key_config": bad_config("int_key_config", "config key '1'"),
+        "horizon_config": bad_config("horizon_config", "config key 'retention_horizon'"),
+        # An ISO week date, which date.fromisoformat reads from Python 3.11 on.
+        "week_date_window": Case(
+            events("merge_snapshot") + ("--window-start", "2023-W22-4"), 1, {},
+            error="not a YYYY-MM-DD date",
         ),
     }
 

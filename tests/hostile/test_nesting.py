@@ -1,6 +1,7 @@
-"""Hostile texts (nested tens of thousands of levels deep, aliased, badly
-tagged or encoded): each one is unparseable text, counted in the report, or a
-bad config, never a crash."""
+"""Hostile inputs (texts nested tens of thousands of levels deep, aliased,
+badly tagged or encoded; config values out of range; dates in other ISO
+forms): each one is unparseable text, counted in the report, a bad config or
+a usage error, never a crash."""
 
 import json
 import sys
@@ -28,4 +29,4 @@ def test_report_survives(cases, name):
         quality = json.loads(result.stdout)["data_quality"]
         assert {key: quality[key] for key in case.data_quality} == case.data_quality
     else:
-        assert b"config key '<file>'" in result.stderr
+        assert case.error.encode() in result.stderr

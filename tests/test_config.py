@@ -1,7 +1,7 @@
 import pytest
 
 from tasklens.cli import main
-from tasklens.config import BadConfig, Config, load_config
+from tasklens.config import MAX_RETENTION_HORIZON, BadConfig, Config, load_config
 from tasklens.taskparse import DEFAULT_DIRECTIVE_KEYS
 
 
@@ -69,6 +69,15 @@ class TestValidation:
             "retention_horizon: !!bool maybe\n",
             "retention_horizon: !!timestamp \n",
             "directive_keys: " + "[" * 3000 + "]" * 3000 + "\n",
+            "directive_keys: " + "[" * 65 + "]" * 65 + "\n",
+            # keys that are not strings
+            "1: x\nfoo: y\n",
+            "null: x\n",
+            "? [a]\n: x\n",
+            # a horizon past the cap
+            "retention_horizon: 36501\n",
+            "retention_horizon: 100000000000\n",
+            "retention_horizon: 1.0e+300\n",
         ],
     )
     def test_bad_configs(self, tmp_path, body):
@@ -83,11 +92,25 @@ class TestValidation:
         with pytest.raises(BadConfig):
             load_config(path)
 
+    def test_horizon_cap_is_inclusive(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"retention_horizon: {MAX_RETENTION_HORIZON}\n")
+        assert load_config(path).retention_horizon == MAX_RETENTION_HORIZON
+
+    def test_aliases_below_the_cap_are_built(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("directive_keys: &a [yum, dnf]\nsimilar_modules: [*a, *a]\n")
+        config = load_config(path)
+        assert config.directive_keys == ("yum", "dnf")
+        assert config.similar_modules == (frozenset({"yum", "dnf"}),) * 2
+
     def test_constructor_validates_too(self):
         with pytest.raises(BadConfig):
             Config(minor_major_threshold=1.0)
         with pytest.raises(BadConfig):
             Config(retention_horizon=0)
+        with pytest.raises(BadConfig):
+            Config(retention_horizon=MAX_RETENTION_HORIZON + 1)
 
     @pytest.mark.parametrize(
         "key", ["dedup_window_seconds", "minor_major_threshold", "rename_match_floor", "retention_horizon"]
@@ -99,10 +122,14 @@ class TestValidation:
         with pytest.raises(BadConfig, match=key):
             load_config(path)
 
-    def test_non_finite_number_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body, key", [
+        (b"dedup_window_seconds: .nan\n", "dedup_window_seconds"),
+        (b"retention_horizon: 3\xff\n", "<file>"),  # not UTF-8
+    ])
+    def test_bad_config_is_exit_2(self, tmp_path, capsys, body, key):
         path = tmp_path / "cfg.yaml"
-        path.write_text("dedup_window_seconds: .nan\n")
+        path.write_bytes(body)
         log = tmp_path / "log.jsonl"
         log.write_text("")
         assert main(["analyze", "--events", str(log), "--config", str(path)]) == 2
-        assert "dedup_window_seconds" in capsys.readouterr().err
+        assert f"config key {key!r}" in capsys.readouterr().err

@@ -95,7 +95,7 @@ class TestPairOutcomes:
                 ("content", {"document": doc}),
             ]
         )
-        result = pair_outcomes(timeline, CONFIG, new_cache())
+        result = pair_outcomes(timeline, new_cache())
         (outcome,) = result.outcomes
         assert outcome.decision is UserAction.ACCEPTED
         assert outcome.committed_doc == doc
@@ -109,7 +109,7 @@ class TestPairOutcomes:
                 ("content", {"document": "x: 1"}),
             ]
         )
-        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
+        (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.decision is UserAction.REJECTED
         assert outcome.committed_doc is None
         classified = classify_outcome(outcome, CONFIG, new_cache())
@@ -118,7 +118,7 @@ class TestPairOutcomes:
 
     def test_no_action_means_ignored(self):
         timeline = timeline_from([("suggestion", suggestion_fields("s1", SHOWN))])
-        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
+        (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.decision is UserAction.IGNORED
         assert classify_outcome(outcome, CONFIG, new_cache()).category is Category.IGNORED
 
@@ -129,7 +129,7 @@ class TestPairOutcomes:
                 ("action", {"suggestion_id": "s1", "action": "accepted"}),
             ]
         )
-        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
+        (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert classify_outcome(outcome, CONFIG, new_cache()).category is Category.UNRESOLVED
 
     def test_orphan_actions_counted(self):
@@ -140,13 +140,13 @@ class TestPairOutcomes:
                 ("action", {"suggestion_id": "ghost", "action": "accepted"}),
             ]
         )
-        assert pair_outcomes(timeline, CONFIG, new_cache()).orphan_actions == 1
+        assert pair_outcomes(timeline, new_cache()).orphan_actions == 1
 
     def test_unparseable_suggestion_counted_and_skipped(self):
         timeline = timeline_from(
             [("suggestion", suggestion_fields("s1", "not a task at all"))]
         )
-        result = pair_outcomes(timeline, CONFIG, new_cache())
+        result = pair_outcomes(timeline, new_cache())
         assert result.outcomes == []
         assert result.unparseable_suggestions == 1
 
@@ -160,7 +160,7 @@ class TestPairOutcomes:
                 ("content", {"document": doc}),
             ]
         )
-        (outcome,) = pair_outcomes(timeline, CONFIG, new_cache()).outcomes
+        (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.committed_doc == doc
 
 
@@ -273,7 +273,7 @@ def classify(shown_text, doc_text, name="deploy app config", config=None):
     )
     config = config or CONFIG
     cache = new_cache(config)
-    (outcome,) = pair_outcomes(timeline, config, cache).outcomes
+    (outcome,) = pair_outcomes(timeline, cache).outcomes
     return classify_outcome(outcome, config, cache)
 
 

@@ -252,6 +252,17 @@ class TestCli:
             main(["report", "--events", "/nonexistent.jsonl", "--format", "csv"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+    @pytest.mark.parametrize("day", [
+        "20230601", "2023-W22-4", "2023-152", "2023-06-01xyz", "2023-06-01T08:00:00",
+        "2023-6-1", "2023-02-30", "\uff12\uff10\uff12\uff13-06-01", " 2023-06-01",
+    ])
+    def test_window_date_other_than_yyyy_mm_dd_is_usage_error(self, small_log, flag, day, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ingest", "--events", str(small_log), flag, day])
+        assert err.value.code == 1
+        assert "not a YYYY-MM-DD date" in capsys.readouterr().err
+
     def test_missing_events_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["analyze"])

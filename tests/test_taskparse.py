@@ -387,7 +387,7 @@ class TestNestingCap:
             return "- " * depth + "x"
 
         def depth_of(text):
-            with composed(text) as (_, root, _):
+            with composed(text) as (root, _):
                 levels = 0
                 while isinstance(root, yaml.SequenceNode):
                     levels, root = levels + 1, root.value[0]
@@ -520,10 +520,11 @@ def test_one_walk_matches_the_two_walks(loader, caps, data):
         except ValueError:
             refused = True
         assert refused == expected
-        if refused:  # composed flags the text, unless its own text cap refuses it
+        if refused:  # the builder refuses it, unless composed's text cap refuses the text
             try:
-                with composed(text) as (_, _, guarded):
-                    assert guarded
+                with composed(text) as (root, build):
+                    with pytest.raises(BadYamlValue):
+                        build(root)
             except BadYamlValue:
                 pass
 
@@ -604,41 +605,75 @@ def same_value(a, b):
     return a == b
 
 
-def _built(text, build):
-    """``build(loader, root)`` on the text's nodes, or the class of what it
-    raised; None when the text does not compose, holds no value, or holds one
-    that _check_value refuses."""
+def same_sharing(a, b):
+    """Whether two values of one shape share their lists, dicts and sets alike:
+    two places in ``a`` hold one collection exactly when they do in ``b``."""
+    pairs: dict[int, int] = {}
+    reverse: dict[int, int] = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if not isinstance(x, (list, dict, set)):
+            continue
+        if pairs.get(id(x), id(y)) != id(y) or reverse.get(id(y), id(x)) != id(x):
+            return False
+        if id(x) in pairs:
+            continue
+        pairs[id(x)], reverse[id(y)] = id(y), id(x)
+        if isinstance(x, dict):
+            stack.extend(zip(x.values(), y.values()))
+        elif isinstance(x, list):
+            stack.extend(zip(x, y))
+    return True
+
+
+def _walked(text):
+    """What composed's builder makes of the text's root: ("value", value) or
+    ("error", (class of the cause, message)); None when the text does not
+    compose or holds no value."""
     try:
-        with composed(text) as (loader, root, guarded):
+        with composed(text) as (root, build):
             if root is None:
                 return None
-            if guarded:
-                try:
-                    taskparse._check_value(root)
-                except ValueError:
-                    return None
             try:
-                return ("value", build(loader, root))
-            except taskparse.CONSTRUCT_ERRORS as exc:
-                return ("error", type(exc))
+                return ("value", build(root))
+            except BadYamlValue as exc:
+                return ("error", (type(exc.__context__), str(exc)))
     except TaskParseError:
         return None
 
 
+def _pyyaml_built(text):
+    """PyYAML's deep construction of the text's root, as _walked gives it, on
+    the loader composed picks; a value _check_value refuses is not built."""
+    loader = (yaml.SafeLoader if "\t" in text else taskparse._Loader)(text)
+    try:
+        root = loader.get_single_node()
+        taskparse._check_value(root)
+        return ("value", loader.construct_object(root, deep=True))
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        detail = getattr(exc, "problem", None) or exc
+        return ("error", (type(exc), f"cannot construct YAML value: {detail}"))
+    finally:
+        loader.dispose()
+
+
 def assert_walk_is_pyyaml(text):
-    """The lean walk builds what PyYAML's deep construction builds, or fails as it does.
+    """The builder makes what PyYAML's deep construction makes, sharing an
+    aliased value where PyYAML shares it, or fails as it does.
 
     Each side composes the text afresh: PyYAML's constructor rewrites merge
     and value keys in the nodes it builds."""
-    walked = _built(text, taskparse._value)
-    built = _built(text, lambda loader, root: loader.construct_object(root, deep=True))
-    assert (walked is None) == (built is None)
-    if walked is not None:
-        assert walked[0] == built[0], (walked, built)
-        if walked[0] == "value":
-            assert same_value(walked[1], built[1]), (walked, built)
-        else:
-            assert walked[1] is built[1]
+    walked = _walked(text)
+    if walked is None:
+        return
+    built = _pyyaml_built(text)
+    assert walked[0] == built[0], (walked, built)
+    if walked[0] == "value":
+        assert same_value(walked[1], built[1]), (walked, built)
+        assert same_sharing(walked[1], built[1]), (walked, built)
+    else:
+        assert walked[1] == built[1]
 
 
 VALUE_WALK_CASES = {
@@ -660,6 +695,14 @@ VALUE_WALK_CASES = {
     "float and int": "[1.0, 1, true, '1', 0o14, 0x1f, .inf]",
     "anchor used twice": "x: &a {k: [v, 1]}\ny: *a\nz: [*a, *a]",
     "anchored key": "? &k a\n: 1\n*k : 2",
+    "aliased list in a merge": "a: &l [x]\nb: {<<: {k: *l}, m: *l}\nc: *l",
+    "aliased merge source": "a: &m {k: [x]}\nb: {<<: *m, j: 1}\nc: [*m, *m]",
+    "aliased set and ints": "a: &s !!set {x, y}\nb: [*s, &i [1, 2], *i]",
+    "alias under a complex key": "? [&l [x]]\n: *l",
+    "nested anchors": "a: &o {p: &i [x, {q: y}], r: *i}\nb: [*o, *i]",
+    "anchored scalars": "a: &x 1\nb: &y text\nc: [*x, *y, *y]",
+    "alias past the expansion cap": "a: &c " + alias_chain(16) + "\nb: [*c, *c]",
+    "recursive alias": "&a [x, *a]",
 }
 
 
@@ -667,8 +710,19 @@ VALUE_WALK_CASES = {
 @pytest.mark.parametrize("text", VALUE_WALK_CASES.values(), ids=VALUE_WALK_CASES.keys())
 def test_value_walk_equals_pyyaml_on_named_values(monkeypatch, loader, text):
     monkeypatch.setattr(taskparse, "_Loader", loader)
-    assert _built(text, taskparse._value) is not None
+    assert _walked(text) is not None
     assert_walk_is_pyyaml(text)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_value_walk_equals_pyyaml_on_aliased_values(loader, data):
+    """Values whose anchors are aliased at other depths, as keys and inside
+    themselves, under the real caps."""
+    text = data.draw(flow_values(taskparse._MAX_VALUE_DEPTH, taskparse._MAX_EXPANDED_NODES))
+    with mock.patch.object(taskparse, "_Loader", loader):
+        assert_walk_is_pyyaml(text)
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
@@ -681,12 +735,20 @@ def test_value_walk_equals_pyyaml_on_fuzzed_texts(loader, text):
 
 @pytest.mark.parametrize("memo", [False, True], ids=["whole", "memo"])
 def test_aliased_value_is_built_once(memo):
-    """A text with anchors is built by PyYAML's constructor, which builds an
-    aliased node once for every value that names it, not once per alias."""
+    """The builder builds an aliased node once for every value that names
+    it, not once per alias, as PyYAML's constructor does."""
     text = "- debug: &a {msg: [x]}\n- debug: *a\n- name: b\n  debug: *a\n"
     tasks = parse(text, memo={} if memo else None)
     assert tasks[0].options == {"msg": ["x"]}
     assert tasks[1].options is tasks[0].options and tasks[2].options is tasks[0].options
+
+
+def test_same_sharing_tells_shared_from_equal():
+    inner = [1]
+    assert same_sharing({"a": inner, "b": inner}, {"a": (x := [1]), "b": x})
+    assert not same_sharing({"a": inner, "b": inner}, {"a": [1], "b": [1]})
+    assert not same_sharing([[1], [1]], [inner, inner])
+    assert same_sharing([[1], [1]], [[1], [1]])
 
 
 def test_same_value_is_type_strict():

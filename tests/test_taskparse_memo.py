@@ -189,7 +189,7 @@ def _placeholders_hold(skeleton, column, first_line, count):
     assert lines[first_line] == " " * column + "- {}"
     lines[first_line:first_line + 1] = [lines[first_line]] * count
     try:
-        with composed("\n".join(lines)) as (_, root, _):
+        with composed("\n".join(lines)) as (root, _):
             nodes = _collect_task_nodes(root)
     except TaskParseError:
         return False
