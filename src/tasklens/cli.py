@@ -16,9 +16,7 @@ from datetime import date
 from pathlib import Path
 
 from .config import BadConfig, load_config
-from .report import (
-    REPORT_FORMATS, UnknownFormat, ZeroEvents, ingest_window, render_report, run_pipeline
-)
+from .report import REPORT_FORMATS, ZeroEvents, ingest_window, render_report, run_pipeline
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -128,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_report(args, parser)
-    except (ZeroEvents, BadConfig, UnknownFormat, OSError) as exc:
+    except (ZeroEvents, BadConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

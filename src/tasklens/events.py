@@ -375,7 +375,7 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
     for path in paths:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
-                if not line or line.isspace():
+                if line.isspace():
                     continue
                 try:
                     events.append(parse_event_line(line))

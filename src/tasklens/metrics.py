@@ -14,10 +14,6 @@ from .events import CompletionEvent, RawEvent, UserTimeline
 WEEKDAY_NAMES = tuple(calendar.day_name)  # Monday .. Sunday
 
 
-class NegativeNumerator(ValueError):
-    pass
-
-
 class EmptyWindow(ValueError):
     pass
 
@@ -78,16 +74,12 @@ def acceptance_summary(outcomes: Iterable[SuggestionOutcome]) -> AcceptanceSumma
 
     initially_accepted = total - categories[Category.REJECTED] - categories[Category.IGNORED]
     module_changed_minor = minor["module_changed"]
-    strong_rate = (
-        _strong_rate(
-            total,
-            initially_accepted,
-            categories[Category.DELETED_AFTER_ACCEPT],
-            categories[Category.MAJOR_EDIT],
-            module_changed_minor,
-        )
-        if total
-        else 0.0
+    # Strongly accepted: kept unchanged, or edited by less than the threshold
+    # with the module left alone; unresolved outcomes count as kept.
+    strong = (
+        categories[Category.FULLY_ACCEPTED]
+        + categories[Category.MINOR_EDIT] - module_changed_minor
+        + categories[Category.UNRESOLVED]
     )
     return AcceptanceSummary(
         total_suggestions=total,
@@ -101,21 +93,12 @@ def acceptance_summary(outcomes: Iterable[SuggestionOutcome]) -> AcceptanceSumma
         avg_lines_per_suggestion=lines / total if total else 0.0,
         avg_tokens_per_suggestion=tokens / total if total else 0.0,
         initial_rate=initially_accepted / total if total else 0.0,
-        strong_rate=strong_rate,
+        strong_rate=strong / total if total else 0.0,
         minor_breakdown=minor,
         module_edited=module_edited,
         module_edit_tags=tags,
         unparseable_documents=unparseable,
     )
-
-
-def _strong_rate(total, accepted, deleted, major, module_changed_minor) -> float:
-    numerator = accepted - deleted - major - module_changed_minor
-    if numerator < 0:
-        raise NegativeNumerator(
-            f"strong-acceptance numerator is negative: {numerator}"
-        )
-    return numerator / total
 
 
 def returning_user_cohort(timelines: Iterable[UserTimeline]) -> set[str]:

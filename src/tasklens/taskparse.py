@@ -177,6 +177,8 @@ def canonical(value: Any) -> Any:
         ))
     if isinstance(value, (list, tuple)):
         return tuple(canonical(v) for v in value)
+    if isinstance(value, (set, frozenset)):  # a !!set
+        return frozenset(canonical(v) for v in value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
@@ -257,7 +259,7 @@ def composed(text: str):
     # libyaml accepts some tabs that the pure-Python loader refuses; one
     # loader for such texts keeps their verdict the same on every install.
     loader_class = yaml.SafeLoader if "\t" in text else _Loader
-    loader = loader_class(text)
+    loader = None
     try:
         try:
             # Each level opens at a collection character, so a text with few
@@ -272,6 +274,9 @@ def composed(text: str):
                             raise BadYamlValue(f"nested deeper than {_MAX_TEXT_DEPTH} levels")
                     elif isinstance(event, yaml.CollectionEndEvent):
                         depth -= 1
+            # A character YAML forbids (such as "\x0c") is refused by the
+            # pure-Python loader as it is made, by libyaml as it reads it.
+            loader = loader_class(text)
             root = loader.get_single_node()
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
@@ -295,7 +300,8 @@ def composed(text: str):
 
         yield root, build
     finally:
-        loader.dispose()
+        if loader is not None:
+            loader.dispose()
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -371,9 +377,12 @@ def _check_value(node) -> None:
 # aliased in another, and a tab, a BOM or a line break other than "\n" makes
 # PyYAML's marks disagree with the "\n" lines cut here.  A %TAG directive
 # (a line starting with "%") changes how the tags inside every item resolve.
-# Twelve substring scans run at C speed; a regex character class steps through
-# the text one character at a time.
-_CUT_UNSAFE_CHARS = "&\t\r\ufeff\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# The other characters ``str.splitlines`` breaks at ("\x0b", "\x0c",
+# "\x1c" to "\x1e") need no scan: both loaders refuse them anywhere in a
+# text, so an item or skeleton that holds one fails its own parse.  Seven
+# substring scans run at C speed; a regex character class steps through the
+# text one character at a time.
+_CUT_UNSAFE_CHARS = "&\t\r\ufeff\x85\u2028\u2029"
 # Line patterns start at the "\n" before the line: a literal first character
 # lets the regex engine skip ahead, where "^" would be tried at every offset.
 _TASKS_KEY_LINE = re.compile(r"\n *tasks:(?: +#[^\n]*| *)(?=\n|\Z)")
@@ -513,7 +522,6 @@ def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
         return False
     return (
         len(nodes) == 1
-        and isinstance(nodes[0], yaml.MappingNode)
         and not nodes[0].value
         and nodes[0].start_mark.line == first_line
         and nodes[0].start_mark.column == column + 2
@@ -523,8 +531,6 @@ def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
 def _collect_task_nodes(root) -> list:
     if isinstance(root, yaml.SequenceNode):
         items = root.value
-        if not items:
-            return []
         if not all(isinstance(item, yaml.MappingNode) for item in items):
             raise NotATaskShape("list elements must be task mappings")
         if all(_mapping_value(item, "tasks") is not None for item in items):
@@ -584,9 +590,7 @@ def _dedent_task_lines(lines: list[str], indent: int) -> list[str]:
 
 
 def _task_from_node(node, build, text_lines: list[str], directives: frozenset[str]) -> AnsibleTask:
-    if not isinstance(node, yaml.MappingNode):
-        raise NotATaskShape("task entry is not a mapping")
-
+    """The task of a mapping node; each caller has checked that it is one."""
     start, end = _node_line_span(node, text_lines)
     raw = _dedent_task_lines(text_lines[start:end], node.start_mark.column)
     while raw and not raw[-1].strip():
@@ -602,8 +606,6 @@ def _task_from_node(node, build, text_lines: list[str], directives: frozenset[st
         if not isinstance(key_node, yaml.ScalarNode):
             raise NotATaskShape("task keys must be scalars")
         key = key_node.value
-        if not isinstance(key, str):
-            raise NotATaskShape("task keys must be strings")
 
         if key == "name":
             value = build(value_node)

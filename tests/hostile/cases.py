@@ -21,6 +21,8 @@ NAMES = (
     "deep_suggestion", "dash_snapshot", "question_snapshot", "deep_config",
     "alias_suggestion", "alias_snapshot", "int_tag_suggestion", "merge_snapshot",
     "bad_text_lines", "alias_config", "int_key_config", "horizon_config", "week_date_window",
+    "set_rename", "deep_extra_field", "list_type", "tab_suggestion", "nan_config",
+    "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
 )
 
 
@@ -69,6 +71,16 @@ def write_cases(directory: Path) -> dict[str, Case]:
     feedback = partial(
         _event, kind="feedback", stamp="2023-06-01T08:00:09+00:00", stars=3, comment=""
     )
+    # A set value whose key is renamed: the rename's values are counted, so they must hash.
+    set_task = "- name: a\n  copy:\n    {}: !!set {{x, y}}\n    b: 1\n    c: 2\n    d: 3\n"
+    # Keys 1 and "1" read alike, and their values do not compare with each other.
+    alike_task = "- name: a\n  copy:\n    {}: {{1: [x], '1': y}}\n    b: 1\n    c: 2\n    d: 3\n"
+    # 2,000 equal option lines, one changed: about 4 million equal line pairs.
+    repeated = "- name: a\n  copy:\n" + "    src: x\n" * 2_000
+    # An ignored field nested 100 levels deep, past the 64 an event line may nest.
+    deep = []
+    for _ in range(99):
+        deep = [deep]
     bad_lines = (
         feedback(8, label="bad ?").encode().replace(b"?", b"\xff\xfe") + b"\n"
         + feedback(9, label="bad \udc80").encode() + b"\n"
@@ -84,12 +96,23 @@ def write_cases(directory: Path) -> dict[str, Case]:
         # A merge key goes to PyYAML's constructor, not the lean value walk.
         "merge_snapshot.jsonl": _accepted(copy, "- name: a\n  copy:\n    <<: {mode: x}\n    src: y\n"),
         "bad_text_lines.jsonl": _accepted(task, task).encode() + bad_lines,
+        "set_rename.jsonl": _accepted(set_task.format("a"), set_task.format("e")),
+        "alike_keys.jsonl": _accepted(alike_task.format("a"), alike_task.format("e")),
+        "deep_extra_field.jsonl": _accepted(task, task) + feedback(8, extra=deep) + "\n",
+        "list_type.jsonl": _accepted(task, task)
+        + _event(8, "2023-06-01T08:00:09+00:00", ["completion"], suggestion_id="s2") + "\n",
+        "tab_suggestion.jsonl": _accepted("- name: a\n  debug:\tmsg\n", task),
+        "repeated_lines.jsonl": _accepted(repeated, repeated.replace("src: x", "src: y", 1)),
+        # A tab picks the pure-Python loader, whose reader refuses "\x0c" as it starts.
+        "formfeed_snapshot.jsonl": _accepted(task, task.replace("hi", "hi\t\x0c")),
         # 15,000 names aliased 11,250 times: 169 million names once expanded,
         # though identical names keep the built config small.
         "alias_config.yaml": "directive_keys: &a [" + ", ".join(["m"] * 15_000) + "]\n"
         + "similar_modules: [" + ", ".join(["*a"] * 11_250) + "]\n",
         "int_key_config.yaml": "1: x\nfoo: y\n",
         "horizon_config.yaml": "retention_horizon: 1.0e+300\n",
+        "nan_config.yaml": "minor_major_threshold: .nan\n",
+        "formfeed_config.yaml": "retention_horizon: 3\t\x0c\n",
     }
     for name, content in files.items():
         if isinstance(content, str):
@@ -126,6 +149,22 @@ def write_cases(directory: Path) -> dict[str, Case]:
             events("merge_snapshot") + ("--window-start", "2023-W22-4"), 1, {},
             error="not a YYYY-MM-DD date",
         ),
+        "set_rename": Case(
+            events("set_rename"), 0, {"unparseable_suggestions": 0, "unresolved_outcomes": 0}
+        ),
+        "alike_keys": Case(
+            events("alike_keys"), 0, {"unparseable_suggestions": 0, "unresolved_outcomes": 0}
+        ),
+        "deep_extra_field": Case(events("deep_extra_field"), 0, {"malformed_lines": 1}),
+        "list_type": Case(events("list_type"), 0, {"malformed_lines": 1}),
+        # libyaml reads this text, PyYAML's scanner refuses it; the tab decides for both.
+        "tab_suggestion": Case(events("tab_suggestion"), 0, {"unparseable_suggestions": 1}),
+        "nan_config": bad_config("nan_config", "config key 'minor_major_threshold'"),
+        # The pair's work bound refuses it (difflib alone takes about 0.8 s on
+        # it on a 2-vCPU x86 under CPython 3.11), so its outcome is unresolved.
+        "repeated_lines": Case(events("repeated_lines"), 0, {"unresolved_outcomes": 1}, 5.0),
+        "formfeed_snapshot": Case(events("formfeed_snapshot"), 0, {"unparseable_documents": 1}),
+        "formfeed_config": bad_config("formfeed_config", "unacceptable character #x000c"),
     }
 
 

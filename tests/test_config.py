@@ -51,6 +51,7 @@ class TestValidation:
         "body",
         [
             "minor_major_threshold: 1.5\n",
+            "minor_major_threshold: abc\n",
             "minor_major_threshold: 0\n",
             "retention_horizon: 0\n",
             "dedup_window_seconds: -1\n",

@@ -408,6 +408,14 @@ class TestMinorSubcategory:
         shown = options_task("copy", {"path": "x", "owner": "root"})
         committed = options_task("copy", {"dest": "x", "owner": "admin"})
         assert minor_subcategory(shown, committed) is MinorSubcategory.MIXED
+        # an added option next to a changed value
+        committed = options_task("copy", {"path": "x", "owner": "admin", "mode": "'0644'"})
+        assert minor_subcategory(shown, committed) is MinorSubcategory.MIXED
+
+    def test_key_only_rename_of_a_set(self):
+        shown = options_task("copy", {"a": "!!set {x, y}", "b": 1})
+        committed = options_task("copy", {"e": "!!set {y, x}", "b": 1})
+        assert minor_subcategory(shown, committed) is MinorSubcategory.KEY_ONLY
 
     def test_identical_options_is_none(self):
         shown = options_task("copy", {"src": "x"})

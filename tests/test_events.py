@@ -222,6 +222,8 @@ class TestParseEventLine:
         assert parse_event_line(json.dumps({**base, "document": ""})).document_text == ""
         with pytest.raises(MissingField):
             parse_event_line(json.dumps(base))
+        with pytest.raises(BadFieldValue):
+            parse_event_line(json.dumps({**base, "document": "", "suggestion_id": ""}))
 
     def test_empty_ids_rejected(self):
         with pytest.raises(BadFieldValue):
@@ -555,6 +557,20 @@ def test_each_type_is_one_record_of_its_class(fields_of_kind, cls):
     event = parse_event_line(json.dumps(line))
     assert type(event) is cls
     assert (event.event_id, event.user_id, event.day) == ("e1", "u1", date(2023, 6, 1))
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [("suggestion", "lines"), ("suggestion", "tokens"), ("feedback", "stars"),
+     ("completion", "type"), ("completion", "ts")],
+)
+def test_missing_field_is_named(kind, field):
+    (fields_of_kind,) = [obj for obj in VALID_EVENTS if obj["type"] == kind]
+    line = {"event_id": "e1", "user_id": "u1", "ts": "2023-06-01T09:00:00Z", **fields_of_kind}
+    del line[field]
+    with pytest.raises(MissingField) as err:
+        parse_event_line(json.dumps(line))
+    assert err.value.name == field
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ class TestParseTasks:
     def test_empty_document(self):
         assert parse("") == []
         assert parse("---\n") == []
+        assert parse("[]") == []
 
     def test_register_is_directive_not_option(self):
         text = FIG1_STYLE + "  register: yum_out\n"
@@ -103,6 +104,12 @@ class TestParseTasks:
             parse("- 1\n- 2\n")
         with pytest.raises(NotATaskShape):
             parse("- hosts: web\n  tasks: notalist\n")
+        with pytest.raises(NotATaskShape):
+            parse("- hosts: web\n  tasks:\n    - 1\n")
+        with pytest.raises(NotATaskShape):
+            parse("- name: t\n  ? [a]\n  : x\n  debug: {}\n")
+        with pytest.raises(NotATaskShape):
+            parse("- name: t\n  copy: {1: x}\n")
 
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(YamlSyntax) as err:
@@ -194,6 +201,13 @@ class TestTaskParts:
         assert canonical([1, 2]) != canonical([2, 1])
         assert canonical("0644") != canonical(0o644)
 
+    def test_set_is_hashable(self):
+        (task,) = parse("- name: t\n  copy:\n    a: !!set {x, 1.0}\n")
+        assert task.options["a"] == {"x", 1.0}
+        assert task.canonical_options["a"] == frozenset({"x", 1})
+        assert canonical([{"y", "x"}]) == canonical([{"x", "y"}])
+        assert hash(canonical({"a": [{"x"}]}))
+
     def test_key_texts_that_collide_are_ordered_by_value(self):
         assert canonical({1: None, "1": "x"}) == canonical({"1": "x", 1: None})
         assert canonical({1: None, "1": "x"}) == (("1", "x"), ("1", None))
@@ -248,7 +262,10 @@ LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
 
 class TestLoaderIndependence:
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
-    @pytest.mark.parametrize("text", ["- name: a\n  debug:\tmsg\n", "debug: {\tmsg: x}"])
+    # The last holds a character both loaders refuse, the pure-Python one as it starts.
+    @pytest.mark.parametrize(
+        "text", ["- name: a\n  debug:\tmsg\n", "debug: {\tmsg: x}", "- debug: x  # \x0c\n"]
+    )
     @pytest.mark.parametrize("memo", [None, {}])
     def test_tab_verdict_does_not_depend_on_libyaml(self, monkeypatch, loader, text, memo):
         monkeypatch.setattr(taskparse, "_Loader", loader)

@@ -4,12 +4,12 @@ Generated playbooks mix what the item cut must get right (play lists and
 top-level lists, comments and blank lines between items, quoted, multi-line
 and nested-block tasks, trailing play keys) with what it must hand to the
 whole-document parse (anchors and aliases, items with a ``tasks`` key, broken
-items, tabs, directives).  Each playbook is also parsed as a growing series of
-snapshots through one memo, the way TaskCache sees a user's edits.  The same
-playbooks check that a skeleton with one placeholder gets the verdict that
-one placeholder per item would, and, edited step by step, that a cut resumed
-from the last one equals a fresh cut.  The properties run under each loader,
-with libyaml and without.
+items, tabs, directives, characters no loader reads).  Each playbook is also
+parsed as a growing series of snapshots through one memo, the way TaskCache
+sees a user's edits.  The same playbooks check that a skeleton with one
+placeholder gets the verdict that one placeholder per item would, and, edited
+step by step, that a cut resumed from the last one equals a fresh cut.  The
+properties run under each loader, with libyaml and without.
 """
 
 from unittest import mock
@@ -114,6 +114,9 @@ BROKEN = st.sampled_from(
         "- just a scalar",
         "- - nested list",
         "\tfoo: tab",
+        # characters no loader reads, in a comment and in a quoted scalar
+        "# form\x0cfeed, vertical\x0btab",
+        '      msg: "\x1c\x1d\x1e"',
         "...",
         "---",
     ]
