@@ -94,6 +94,10 @@ class TaskCache:
     resumes from whichever text was cut last, so it pays when one playbook's
     snapshots are parsed in a row.  Item entries hold only for this cache's
     directive keys.
+
+    Above the parses sit two tables: the shown task of each (suggestion text,
+    prompt) pair, and the verdict on each (shown task, snapshot) pair, which
+    holds for one ``Config`` at a time.
     """
 
     def __init__(self, directive_keys: tuple[str, ...]):
@@ -101,6 +105,8 @@ class TaskCache:
         self._hits: dict[str, tuple[AnsibleTask, ...] | None] = {}
         self._memo = TaskMemo()
         self._shown: dict[tuple[str, str | None], AnsibleTask | None] = {}
+        self._config: Config | None = None
+        self._verdicts: dict[tuple[int, str], tuple[AnsibleTask, tuple]] = {}
 
     def parse(self, text: str) -> tuple[AnsibleTask, ...] | None:
         """The tasks of ``text``, or None when it does not parse."""
@@ -115,20 +121,38 @@ class TaskCache:
         self._hits[text] = tasks
         return tasks
 
-    def shown_task(self, text: str, name: str | None) -> AnsibleTask | None:
-        """The single task of a suggestion text, with the prompt name attached;
-        None unless the text parses as exactly one task."""
-        key = (text, name)
+    def shown_task(self, text: str, prompt: str | None) -> AnsibleTask | None:
+        """The single task of a suggestion text, named from its prompt when the
+        text names none; None unless the text parses as exactly one task.
+        Each (text, prompt) pair gets one task object."""
+        key = (text, prompt)
         try:
             return self._shown[key]
         except KeyError:
             pass
         tasks = self.parse(text)
         task = tasks[0] if tasks is not None and len(tasks) == 1 else None
-        if task is not None and task.name is None and name is not None:
-            task = task.with_name(name)
+        if task is not None and task.name is None and prompt is not None:
+            name = name_from_prompt(prompt)
+            if name is not None:
+                task = task.with_name(name)
         self._shown[key] = task
         return task
+
+    def verdict(self, shown: AnsibleTask, document: str, config: Config) -> tuple:
+        """``classify_pair(shown, self.parse(document), config)``, computed once
+        per pair while ``config`` stays the same object."""
+        if config is not self._config:
+            self._config, self._verdicts = config, {}
+        # The entry holds ``shown``, so no other task can take its id meanwhile.
+        key = (id(shown), document)
+        try:
+            return self._verdicts[key][1]
+        except KeyError:
+            pass
+        verdict = classify_pair(shown, self.parse(document), config)
+        self._verdicts[key] = (shown, verdict)
+        return verdict
 
 
 def name_from_prompt(prompt: str) -> str | None:
@@ -172,9 +196,7 @@ def pair_outcomes(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     outcomes: list[SuggestionOutcome] = []
     unparseable = 0
     for event in suggestions:
-        prompt = prompts.get(event.suggestion_id)
-        prompt_name = name_from_prompt(prompt) if prompt is not None else None
-        shown = cache.shown_task(event.suggestion_text, prompt_name)
+        shown = cache.shown_task(event.suggestion_text, prompts.get(event.suggestion_id))
         if shown is None:
             unparseable += 1
             continue
@@ -246,22 +268,36 @@ def classify_outcome(
     if outcome.decision is UserAction.IGNORED:
         outcome.category = Category.IGNORED
         return outcome
-
     if outcome.committed_doc is None:
         outcome.category = Category.UNRESOLVED
         return outcome
-    doc_tasks = cache.parse(outcome.committed_doc)
-    if doc_tasks is None:
-        outcome.category = Category.UNRESOLVED
-        outcome.doc_unparseable = True
-        return outcome
+    (
+        outcome.category, outcome.edit_fraction, outcome.committed_task, outcome.module_changed,
+        outcome.minor_subcategory, outcome.module_edit_tags, outcome.doc_unparseable,
+    ) = cache.verdict(outcome.shown_task, outcome.committed_doc, config)
+    return outcome
 
-    shown = outcome.shown_task
+
+# The verdicts without a committed task.
+_UNPARSEABLE_DOC = (Category.UNRESOLVED, None, None, False, None, frozenset(), True)
+_DELETED = (Category.DELETED_AFTER_ACCEPT, None, None, False, None, frozenset(), False)
+_OVER_BUDGET = (Category.UNRESOLVED, None, None, False, None, frozenset(), False)
+
+
+def classify_pair(
+    shown: AnsibleTask, doc_tasks: tuple[AnsibleTask, ...] | None, config: Config
+) -> tuple:
+    """The verdict on an accepted task and the tasks of the snapshot after it
+    (None when the snapshot does not parse): the values of the outcome fields
+    category, edit_fraction, committed_task, module_changed,
+    minor_subcategory, module_edit_tags and doc_unparseable, in that order.
+    """
+    if doc_tasks is None:
+        return _UNPARSEABLE_DOC
     try:
         committed = match_committed_task(shown, doc_tasks, config.rename_match_floor)
         if committed is None:
-            outcome.category = Category.DELETED_AFTER_ACCEPT
-            return outcome
+            return _DELETED
         shown_body = shown.body_lines
         committed_body = committed.body_lines
         fraction = (
@@ -270,8 +306,7 @@ def classify_outcome(
         )
     except MatchBudgetExceeded:
         # A pair too large to compare within the budget has no edit fraction.
-        outcome.category = Category.UNRESOLVED
-        return outcome
+        return _OVER_BUDGET
     shown_short = short_name(shown.module) if shown.module else None
     committed_short = short_name(committed.module) if committed.module else None
     module_changed = shown_short != committed_short
@@ -282,16 +317,15 @@ def classify_outcome(
         category = Category.MINOR_EDIT
     else:
         category = Category.MAJOR_EDIT
-
-    outcome.committed_task = committed
-    outcome.edit_fraction = fraction
-    outcome.category = category
-    outcome.module_changed = module_changed
-    if category is Category.MINOR_EDIT and not module_changed:
-        outcome.minor_subcategory = minor_subcategory(shown, committed)
-    if shown.module != committed.module:
-        outcome.module_edit_tags = module_edit_tags(shown, committed, config)
-    return outcome
+    subcategory = (
+        minor_subcategory(shown, committed)
+        if category is Category.MINOR_EDIT and not module_changed else None
+    )
+    tags = (
+        module_edit_tags(shown, committed, config)
+        if shown.module != committed.module else frozenset()
+    )
+    return (category, fraction, committed, module_changed, subcategory, tags, False)
 
 
 def minor_subcategory(shown: AnsibleTask, committed: AnsibleTask) -> MinorSubcategory | None:

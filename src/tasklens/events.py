@@ -255,7 +255,12 @@ def _decode_json(line: str):
         raise MalformedJson(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise MalformedJson("invalid JSON: nested too deeply") from None
-    if end != len(line) and _JSON_WHITESPACE.match(line, end).end() != len(line):
+    # A log line ends in "\n": the regex runs only on other trailing text.
+    if (
+        end != len(line)
+        and line[end:] != "\n"
+        and _JSON_WHITESPACE.match(line, end).end() != len(line)
+    ):
         raise MalformedJson("invalid JSON: Extra data")
     # Each level opens with a bracket: a line with no "[" and one "{" is flat.
     if ("[" in line or line.find("{", 1) >= 0) and _nests_too_deeply(obj):
@@ -279,10 +284,13 @@ def _holds_surrogate(value) -> bool:
     return False
 
 
-def parse_event_line(line: str) -> RawEvent:
+def parse_event_line(line: str, shared: dict | None = None) -> RawEvent:
     """Parse and validate one JSONL event line.
 
     A line that holds a lone surrogate, raw or as a JSON escape, is malformed.
+    The user id, suggestion id, suggestion text, document, prompt and context
+    go through ``shared``: lines parsed with one dict hold one object for each
+    distinct value of those fields.  Event ids, which never repeat, do not.
     """
     if not line.isascii() and _SURROGATE.search(line):
         raise MalformedJson("line is not valid UTF-8")
@@ -292,8 +300,10 @@ def parse_event_line(line: str) -> RawEvent:
     if _SURROGATE_ESCAPE.search(line) and _holds_surrogate(obj):
         raise MalformedJson("a string holds an unpaired surrogate")
 
+    share = ({} if shared is None else shared).setdefault
     event_id = _require_str(obj, "event_id")
     user_id = _require_str(obj, "user_id")
+    user_id = share(user_id, user_id)
     instant, day = _parse_timestamp(obj)
     try:
         type_name = obj["type"]
@@ -307,9 +317,12 @@ def parse_event_line(line: str) -> RawEvent:
         raise UnknownKind(f"unknown event type: {type_name!r}")
 
     if cls is CompletionEvent:
+        sid = _require_str(obj, "suggestion_id")
+        prompt = _require_text(obj, "prompt")
+        context = _require_text(obj, "context")
         return cls(
-            event_id, user_id, instant, day, _require_str(obj, "suggestion_id"),
-            _require_text(obj, "prompt"), _require_text(obj, "context"),
+            event_id, user_id, instant, day, share(sid, sid),
+            share(prompt, prompt), share(context, context),
         )
     if cls is SuggestionEvent:
         text = _require_text(obj, "text")
@@ -320,18 +333,22 @@ def parse_event_line(line: str) -> RawEvent:
                 f"field 'lines' is {lines} but text has {len(text.splitlines())} lines"
             )
         sid = _require_str(obj, "suggestion_id")
-        return cls(event_id, user_id, instant, day, sid, text, lines, tokens)
+        return cls(
+            event_id, user_id, instant, day, share(sid, sid), share(text, text), lines, tokens
+        )
     if cls is ActionEvent:
         action_name = _require_str(obj, "action")
         action = _ACTION_BY_NAME.get(action_name)
         if action is None:
             raise BadFieldValue(f"unknown action: {action_name!r}")
-        return cls(event_id, user_id, instant, day, _require_str(obj, "suggestion_id"), action)
+        sid = _require_str(obj, "suggestion_id")
+        return cls(event_id, user_id, instant, day, share(sid, sid), action)
     if cls is ContentEvent:
         sid = obj.get("suggestion_id")
         if sid is not None and (type(sid) is not str or not sid):
             raise BadFieldValue("field 'suggestion_id' must be a non-empty string when present")
-        return cls(event_id, user_id, instant, day, _require_text(obj, "document"), sid)
+        document = _require_text(obj, "document")
+        return cls(event_id, user_id, instant, day, share(document, document), share(sid, sid))
     label = obj.get("label")
     if label is not None and type(label) is not str:
         raise BadFieldValue("field 'label' must be a string when present")
@@ -369,16 +386,18 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
     """Read JSONL logs; malformed lines are skipped and counted, never fatal.
 
     A line that is not valid UTF-8 counts as malformed (see parse_event_line).
+    Equal field strings are one object among the events of one call.
     """
     events: list[RawEvent] = []
     malformed = 0
+    shared: dict = {}
     for path in paths:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 if line.isspace():
                     continue
                 try:
-                    events.append(parse_event_line(line))
+                    events.append(parse_event_line(line, shared))
                 except EventParseError:
                     malformed += 1
     return IngestResult(events=events, malformed_lines=malformed)
@@ -414,10 +433,13 @@ def deduplicate(
     """
     kept: list[RawEvent] = []
     for _, user_events in _by_user(events):
+        # Keyed on the content alone: no two classes' content tuples can be
+        # equal.  Arity 4 is a suggestion's only; a completion's starts with a
+        # str where a feedback's starts with an int; an action's ends with a
+        # UserAction where a content event's ends with a str or None.
         last_kept_at: dict[tuple, float] = {}
         for event in user_events:
-            cls = type(event)
-            key = (cls, _CONTENT[cls](event))
+            key = _CONTENT[type(event)](event)
             previous = last_kept_at.get(key)
             if previous is not None and event.instant - previous <= window_seconds:
                 continue

@@ -279,9 +279,7 @@ def composed(text: str):
             loader = loader_class(text)
             root = loader.get_single_node()
         except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = mark.line + 1 if mark is not None else None
-            raise YamlSyntax(f"invalid YAML: {getattr(exc, 'problem', exc)}", line) from None
+            raise _syntax_error(text, exc) from None
         guarded = "&" in text or deepest > _MAX_VALUE_DEPTH
 
         # What building a value can raise under either safe loader: YAMLError
@@ -302,6 +300,35 @@ def composed(text: str):
     finally:
         if loader is not None:
             loader.dispose()
+
+
+# A YAML error's words come from its class, since libyaml and PyYAML word
+# the same error differently.
+_ERROR_WORDS = {
+    yaml.scanner.ScannerError: "syntax error",
+    yaml.parser.ParserError: "syntax error",
+    yaml.composer.ComposerError: "undefined alias, repeated anchor or second document",
+}
+
+
+def _syntax_error(text: str, exc: yaml.YAMLError) -> YamlSyntax:
+    """YamlSyntax for a loader's error on ``text``, worded alike for both loaders.
+
+    The line comes from the error's offset, counted in ``text``: at the end of
+    a text without a final line break libyaml's own line number is one past
+    PyYAML's.  A reader error has no mark; libyaml gives its offset in bytes,
+    PyYAML in characters, so its line is that of the refused character.
+    """
+    if isinstance(exc, yaml.reader.ReaderError):
+        char = exc.character if isinstance(exc.character, str) else chr(exc.character)
+        offset = text.find(char)
+        message = f"unacceptable character #x{ord(char):04x}"
+    else:
+        mark = getattr(exc, "problem_mark", None)
+        offset = -1 if mark is None else mark.index
+        message = _ERROR_WORDS.get(type(exc), type(exc).__name__)
+    line = text.count("\n", 0, offset) + 1 if offset >= 0 else None
+    return YamlSyntax(f"invalid YAML: {message}", line)
 
 
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -440,7 +467,10 @@ def _cut_task_list(text: str, previous: _Cut | None = None) -> _Cut | None:
     # An offset in ``lined`` is one past the same character's offset in
     # ``text``, so a match of "\n" at offset p starts a line at text offset p.
     lined = "\n" + text
-    if any(ch in text for ch in _CUT_UNSAFE_CHARS) or "\n%" in lined:
+    # The prefix shared with ``previous.text``, which passed these scans.
+    shared = 0 if previous is None else _common_prefix(previous.text, text)
+    rest = text[shared:]
+    if any(ch in rest for ch in _CUT_UNSAFE_CHARS) or lined.find("\n%", shared) >= 0:
         return None
     key = _TASKS_KEY_LINE.search(lined)
     first = _CONTENT_LINE.search(lined, key.end() if key else 0)
@@ -453,8 +483,9 @@ def _cut_task_list(text: str, previous: _Cut | None = None) -> _Cut | None:
     items: list[str] = []
     resume = first.start()
     if previous is not None and previous.column == column and previous.starts[0] == resume:
-        shared = _common_prefix(previous.text, text) + 1  # in ``lined``
-        kept = bisect_right(previous.starts, shared - column - 3)
+        # A start's line opening, column + 3 characters from the "\n" on,
+        # must end within the shared prefix, which ends at shared + 1 in ``lined``.
+        kept = bisect_right(previous.starts, shared - column - 2)
         if kept:
             starts = previous.starts[:kept - 1]
             items = previous.items[:kept - 1]

@@ -23,6 +23,7 @@ NAMES = (
     "bad_text_lines", "alias_config", "int_key_config", "horizon_config", "week_date_window",
     "set_rename", "deep_extra_field", "list_type", "tab_suggestion", "nan_config",
     "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
+    "unclosed_config", "plain_formfeed_config",
 )
 
 
@@ -113,6 +114,11 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "horizon_config.yaml": "retention_horizon: 1.0e+300\n",
         "nan_config.yaml": "minor_major_threshold: .nan\n",
         "formfeed_config.yaml": "retention_horizon: 3\t\x0c\n",
+        # No tab, so each loader reads these; libyaml and PyYAML word their
+        # errors differently, and at the end of a text without a final line
+        # break they put the error on different lines.
+        "unclosed_config.yaml": "a: [b",
+        "plain_formfeed_config.yaml": "retention_horizon: 3\n\x0c\n",
     }
     for name, content in files.items():
         if isinstance(content, str):
@@ -165,6 +171,10 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "repeated_lines": Case(events("repeated_lines"), 0, {"unresolved_outcomes": 1}, 5.0),
         "formfeed_snapshot": Case(events("formfeed_snapshot"), 0, {"unparseable_documents": 1}),
         "formfeed_config": bad_config("formfeed_config", "unacceptable character #x000c"),
+        "unclosed_config": bad_config("unclosed_config", "invalid YAML: syntax error (line 1)"),
+        "plain_formfeed_config": bad_config(
+            "plain_formfeed_config", "invalid YAML: unacceptable character #x000c (line 2)"
+        ),
     }
 
 

@@ -1,13 +1,16 @@
 import contextlib
+import dataclasses
 import json
+import random
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasklens import edits, gestalt
+from tasklens import edits, gestalt, taskparse
 from tasklens.config import Config
 from tasklens.edits import (
     Category,
@@ -24,6 +27,16 @@ from tasklens.edits import (
 )
 from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.gestalt import similarity_ratio
+from tasklens.report import render_report, run_pipeline
+from tasklens.synth import (
+    EditMix,
+    edit_analysis_lines,
+    edit_outcome_templates,
+    mixed_lines,
+    module_tag_lines,
+    module_tag_templates,
+    write_log,
+)
 from tasklens.taskparse import (
     DEFAULT_DIRECTIVE_KEYS,
     AnsibleTask,
@@ -549,3 +562,146 @@ class TestAnalyzeTimeline:
         assert [
             (o.suggestion_id, o.category, o.edit_fraction) for o in first.outcomes
         ] == [(o.suggestion_id, o.category, o.edit_fraction) for o in second.outcomes]
+
+
+LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
+TAG_CONFIG = Config(similar_modules=(frozenset({"yum", "dnf", "package"}),))
+
+
+def random_mix_lines(seed):
+    """Five users' interleaved outcomes.  Each pairs a suggestion text and a
+    prompt with the next snapshot, all drawn from small pools: pairs repeat,
+    and the pools hold renames, deletions, module changes, two-task and
+    unparseable snapshots, and texts that are not one task."""
+    rng = random.Random(seed)
+    templates = [*edit_outcome_templates().values(), *module_tag_templates().values()]
+    texts = sorted({t.suggestion_text for t in templates}) + [
+        "- name: own name\n  debug:\n    msg: hi", "key: [unclosed", "two: 1\nthree: 2",
+    ]
+    docs = sorted({t.document for t in templates if t.document is not None})
+    docs += [
+        docs[1].replace("- name: ", "- name: renamed ", 1),
+        docs[1] + "\n" + docs[-1],
+        "key: [unclosed",
+        "- name: own name\n  debug:\n    msg: ho",
+    ]
+    prompts = sorted({t.prompt for t in templates}) + ["- name: own name", "  -   name:   spaced  "]
+    base = datetime(2023, 6, 2, 9, tzinfo=UTC)
+    clocks = {f"u{i}": base for i in range(5)}
+    lines = []
+
+    def emit(user, kind, **fields):
+        clocks[user] += timedelta(seconds=1)
+        lines.append(json.dumps({"event_id": f"e{len(lines)}", "user_id": user,
+                                 "ts": clocks[user].isoformat(), "type": kind, **fields}))
+
+    for user in clocks:
+        emit(user, "completion", suggestion_id=f"warm-{user}", prompt="- name: warm", context="")
+        clocks[user] += timedelta(days=1)
+    def either(value, pool, odds):
+        return rng.choice(pool) if value is None or rng.random() < odds else value
+
+    for i in range(300):
+        user, sid = rng.choice(sorted(clocks)), f"s{i}"
+        template = rng.choice(templates)
+        if rng.random() < 0.9:
+            emit(user, "completion", suggestion_id=sid, context="",
+                 prompt=either(template.prompt, prompts, 0.2))
+        text = either(template.suggestion_text, texts, 0.15)
+        emit(user, "suggestion", suggestion_id=sid, text=text,
+             lines=len(text.splitlines()), tokens=5)
+        action = rng.choice(["accepted"] * 4 + ["rejected", None])
+        if action is not None:
+            emit(user, "action", suggestion_id=sid, action=action)
+        if rng.random() < 0.8:
+            emit(user, "content", document=either(template.document, docs, 0.4))
+    return lines
+
+
+def criterion_logs():
+    """The synth criterion logs at a small scale, and random mixes, with their configs."""
+    small_tags = [("fqcn", 12), ("reorg", 5), ("cmdshell", 17), ("similar", 16),
+                  ("other", 29), ("fqcn_reorg", 6)]
+    mix = EditMix(fully=30, minor=20, minor_module=5, major=10, deleted=15,
+                  rejected=10, ignored=5, unresolved=5)
+    return {
+        "table": (edit_analysis_lines(mix, n_users=8), Config()),
+        "module_tags": (module_tag_lines(small_tags, n_users=6), TAG_CONFIG),
+        "mixed": (mixed_lines(target_events=3_000, n_users=30), Config()),
+        **{f"random{seed}": (random_mix_lines(seed), TAG_CONFIG) for seed in range(3)},
+    }
+
+
+class TestVerdictTable:
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_report_equals_every_outcome_classified_from_scratch(
+        self, loader, tmp_path, monkeypatch
+    ):
+        """The verdict table changes no report byte: a fresh cache for each
+        outcome classifies every one of them from scratch."""
+        monkeypatch.setattr(taskparse, "_Loader", loader)
+        tabled = edits.classify_outcome
+
+        def from_scratch(outcome, config, cache):
+            return tabled(outcome, config, TaskCache(config.directive_keys))
+
+        for name, (lines, config) in criterion_logs().items():
+            log = write_log(tmp_path / f"{name}.jsonl", lines)
+            with_table = render_report(run_pipeline([log], config), "json")
+            with monkeypatch.context() as patched:
+                patched.setattr(edits, "classify_outcome", from_scratch)
+                scratch = render_report(run_pipeline([log], config), "json")
+            assert with_table == scratch, name
+
+    def test_repeated_pairs_are_matched_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_match = edits.match_committed_task
+        monkeypatch.setattr(
+            edits, "match_committed_task", lambda *args: calls.append(1) or real_match(*args)
+        )
+        lines, config = criterion_logs()["table"]
+        report = run_pipeline([write_log(tmp_path / "table.jsonl", lines)], config)
+        # 80 accepted outcomes have a snapshot: one shown task, five distinct
+        # snapshots (the deletion's is empty), so five pairs to match.
+        assert report.acceptance.initially_accepted == 85
+        assert report.acceptance.unresolved == 5
+        assert len(calls) == 5
+
+    def test_one_cache_gives_each_config_its_verdicts(self):
+        """Minor under the default threshold, major under a lower one; the
+        table is tied to the config it was filled under."""
+        minor_doc = doc_with("deploy app config", _replace_line(SHOWN, 2, "  dest: /etc/v2.conf"))
+        timeline = timeline_from(
+            [
+                ("completion", {"suggestion_id": "s1", "prompt": "- name: deploy app config",
+                                "context": ""}),
+                ("suggestion", suggestion_fields("s1", SHOWN)),
+                ("action", {"suggestion_id": "s1", "action": "accepted"}),
+                ("content", {"document": minor_doc}),
+            ]
+        )
+        cache = new_cache()
+        (paired,) = pair_outcomes(timeline, cache).outcomes
+        strict = Config(minor_major_threshold=0.1)
+        expected = {CONFIG: Category.MINOR_EDIT, strict: Category.MAJOR_EDIT}
+        for config in (CONFIG, strict, CONFIG, strict):
+            outcome = classify_outcome(dataclasses.replace(paired), config, cache)
+            assert outcome.category is expected[config]
+            assert outcome.edit_fraction == pytest.approx(1 / 6)
+            fresh = classify_outcome(dataclasses.replace(paired), config, new_cache(config))
+            assert outcome == fresh
+
+    def test_shown_task_is_named_once_per_text_and_prompt(self, monkeypatch):
+        names = []
+        monkeypatch.setattr(
+            edits, "name_from_prompt", lambda prompt: names.append(prompt) or prompt[8:]
+        )
+        cache = new_cache()
+        first = cache.shown_task(SHOWN, "- name: deploy")
+        assert first.name == "deploy"
+        assert cache.shown_task(SHOWN, "- name: deploy") is first
+        assert names == ["- name: deploy"]
+        other = cache.shown_task(SHOWN, "- name: other")
+        assert other.name == "other" and other is not first
+        assert cache.shown_task(SHOWN, None).name is None
+        assert names == ["- name: deploy", "- name: other"]

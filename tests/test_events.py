@@ -241,6 +241,8 @@ class TestParseEventLine:
             completion_line() + "\u00a0",
             "\u00a0" + completion_line(),
             completion_line() + "x",
+            completion_line() + "\nx",
+            completion_line() + "\n\n",
             completion_line() + completion_line(),
             completion_line()[:-1],
             "",
@@ -250,7 +252,8 @@ class TestParseEventLine:
         ],
         ids=[
             "plain", "lf", "crlf", "ascii-space-around", "leading-lf", "bom",
-            "trailing-nbsp", "leading-nbsp", "trailing-garbage", "two-objects",
+            "trailing-nbsp", "leading-nbsp", "trailing-garbage", "lf-then-garbage", "two-lfs",
+            "two-objects",
             "truncated", "empty", "blank", "array", "bare-nan",
         ],
     )
@@ -452,6 +455,20 @@ class TestDeduplicate:
             for events in (self._random_soup(seed), self._random_mixed_soup(seed)):
                 assert deduplicate(events, window) == self._oracle(events, window)
 
+    def test_no_two_kinds_have_equal_content(self):
+        """Why deduplicate may key on the content alone: across all five
+        kinds, drawn from overlapping values, content of two kinds never
+        compares equal."""
+        events = [e for seed in range(5) for e in self._random_mixed_soup(seed)]
+        by_kind = {}
+        for event in events:
+            by_kind.setdefault(type(event), set()).add(self._content(event))
+        assert len(by_kind) == 5
+        kinds = list(by_kind.values())
+        for i, contents in enumerate(kinds):
+            for other in kinds[i + 1:]:
+                assert not contents & other
+
     def test_timelines_keep_dedup_order(self):
         for seed in range(5):
             deduped = deduplicate(self._random_soup(seed))
@@ -534,6 +551,54 @@ def test_read_events_skips_and_counts_malformed(tmp_path):
     result = read_events([write_log(tmp_path / "log.jsonl", lines)])
     assert len(result.events) == 2
     assert result.malformed_lines == 2
+
+
+def test_read_events_shares_equal_strings_within_one_call(tmp_path):
+    """Equal user ids, suggestion ids, texts, documents, prompts and contexts
+    are one object among one call's events; event ids and other calls' events
+    keep their own."""
+    text = "- debug:\n    msg: shared"
+    rows = []
+    for i in range(6):
+        sid = f"sid-{i % 2}"
+        rows += [
+            {"type": "completion", "suggestion_id": sid, "prompt": "- name: shared",
+             "context": "shared context"},
+            {"type": "suggestion", "suggestion_id": sid, "text": text, "lines": 2, "tokens": 4},
+            {"type": "action", "suggestion_id": sid, "action": "accepted"},
+            {"type": "content", "document": text, "suggestion_id": sid},
+        ]
+    # Every event id is "event-id": equal, yet never shared.
+    lines = [json.dumps({"event_id": "event-id", "user_id": f"user-{i % 3}",
+                         "ts": "2023-06-01T09:00:00Z", **row}) for i, row in enumerate(rows)]
+    log = write_log(tmp_path / "log.jsonl", lines)
+    events = read_events([log]).events
+    assert len(events) == len(lines)
+
+    def objects(values):
+        """value -> the distinct objects that hold it."""
+        found = {}
+        for value in values:
+            found.setdefault(value, set()).add(id(value))
+        return found
+
+    fields_of = [
+        [e.user_id for e in events],
+        [e.suggestion_id for e in events],
+        [e.prompt for e in events if type(e) is CompletionEvent],
+        [e.context for e in events if type(e) is CompletionEvent],
+        [e.suggestion_text for e in events if type(e) is SuggestionEvent]
+        + [e.document_text for e in events if type(e) is ContentEvent],
+    ]
+    for values in fields_of:
+        assert all(len(ids) == 1 for ids in objects(values).values())
+    assert len({id(e.event_id) for e in events}) == len(events)
+
+    again = read_events([log]).events
+    for first, second in zip(events, again):
+        assert first == second
+        assert first.user_id is not second.user_id
+        assert first.suggestion_id is not second.suggestion_id
 
 
 # One valid line of each kind; every field a kind reads, optional ones included.

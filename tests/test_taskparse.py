@@ -273,6 +273,32 @@ class TestLoaderIndependence:
             parse(text, memo=memo)
 
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a: [b", "syntax error (line 1)"),  # libyaml's own mark is on line 2
+            ("a: [b\n", "syntax error (line 2)"),
+            ("{a", "syntax error (line 1)"),
+            ("a: b: c", "syntax error (line 1)"),
+            ("- a\nb: c\n", "syntax error (line 2)"),
+            ("x: [\u00e9\u00e9, \u00e9", "syntax error (line 1)"),
+            ("&a [*b]", "undefined alias, repeated anchor or second document (line 1)"),
+            ("a\n--- b\n", "undefined alias, repeated anchor or second document (line 2)"),
+            ("x: 1\n\x0c\n", "unacceptable character #x000c (line 2)"),
+            # libyaml counts a reader error's offset in UTF-8 bytes
+            ("\u2028: \u00e9\x07\n", "unacceptable character #x0007 (line 1)"),
+        ],
+    )
+    def test_error_text_does_not_depend_on_libyaml(self, text, message):
+        """The message comes from the error's class and offset, not the loader's words."""
+        for loader in LOADERS:
+            with mock.patch.object(taskparse, "_Loader", loader):
+                with pytest.raises(YamlSyntax) as err:
+                    with taskparse.composed(text):
+                        pass
+            assert str(err.value) == f"invalid YAML: {message}", loader.__name__
+
+
 class TestUnconstructableValues:
     @pytest.mark.parametrize(
         "value",

@@ -25,6 +25,7 @@ from tasklens.taskparse import (
     DEFAULT_DIRECTIVE_KEYS,
     TaskMemo,
     TaskParseError,
+    _CUT_UNSAFE_CHARS,
     _Cut,
     _collect_task_nodes,
     _cut_task_list,
@@ -352,3 +353,16 @@ def test_cut_resumes_from_the_shared_prefix():
     top = _cut_task_list("- debug: a\n- debug: b\n")
     keyed = "- debug: a\ntasks:\n- debug: b\n"  # the list now starts under the key
     assert _cut_task_list(keyed, top) == _cut_task_list(keyed)
+
+
+def test_resumed_cut_scans_from_where_the_texts_differ():
+    """The safety scans skip only the prefix the last cut's text passed: a
+    refused character, or a "%" line, right where the texts start to differ
+    is still refused."""
+    task = "    - name: t{0}\n      debug:\n        msg: m{0}\n"
+    text = "- hosts: all\n  tasks:\n" + task.format(1) + task.format(2)
+    previous = _cut_task_list(text)
+    at = text.index("m2")
+    for changed in [text[:at] + ch + text[at:] for ch in _CUT_UNSAFE_CHARS] + [text + "%x\n"]:
+        assert _cut_task_list(changed) is None
+        assert _cut_task_list(changed, previous) is None, repr(changed[at:])
