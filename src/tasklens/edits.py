@@ -92,20 +92,18 @@ class TaskCache:
     document once; and the last task-list cut, so the next snapshot of the
     same playbook rescans only the lines after what the two share.  The cut
     resumes from whichever text was cut last, so it pays when one playbook's
-    snapshots are parsed in a row.  Item entries hold only for this cache's
-    directive keys.
+    snapshots are parsed in a row.
 
     Above the parses sit two tables: the shown task of each (suggestion text,
-    prompt) pair, and the verdict on each (shown task, snapshot) pair, which
-    holds for one ``Config`` at a time.
+    prompt) pair, and the verdict on each (shown task, snapshot) pair.  Texts
+    parse with ``config.directive_keys`` and verdicts hold under ``config``.
     """
 
-    def __init__(self, directive_keys: tuple[str, ...]):
-        self._directive_keys = directive_keys
+    def __init__(self, config: Config):
+        self.config = config
         self._hits: dict[str, tuple[AnsibleTask, ...] | None] = {}
         self._memo = TaskMemo()
         self._shown: dict[tuple[str, str | None], AnsibleTask | None] = {}
-        self._config: Config | None = None
         self._verdicts: dict[tuple[int, str], tuple[AnsibleTask, tuple]] = {}
 
     def parse(self, text: str) -> tuple[AnsibleTask, ...] | None:
@@ -115,7 +113,7 @@ class TaskCache:
         except KeyError:
             pass
         try:
-            tasks = tuple(parse_tasks(text, self._directive_keys, self._memo))
+            tasks = tuple(parse_tasks(text, self.config.directive_keys, self._memo))
         except TaskParseError:
             tasks = None
         self._hits[text] = tasks
@@ -139,18 +137,16 @@ class TaskCache:
         self._shown[key] = task
         return task
 
-    def verdict(self, shown: AnsibleTask, document: str, config: Config) -> tuple:
-        """``classify_pair(shown, self.parse(document), config)``, computed once
-        per pair while ``config`` stays the same object."""
-        if config is not self._config:
-            self._config, self._verdicts = config, {}
+    def verdict(self, shown: AnsibleTask, document: str) -> tuple:
+        """``classify_pair(shown, self.parse(document), self.config)``, computed
+        once per pair."""
         # The entry holds ``shown``, so no other task can take its id meanwhile.
         key = (id(shown), document)
         try:
             return self._verdicts[key][1]
         except KeyError:
             pass
-        verdict = classify_pair(shown, self.parse(document), config)
+        verdict = classify_pair(shown, self.parse(document), self.config)
         self._verdicts[key] = (shown, verdict)
         return verdict
 
@@ -258,9 +254,7 @@ def match_committed_task(
     return None
 
 
-def classify_outcome(
-    outcome: SuggestionOutcome, config: Config, cache: TaskCache
-) -> SuggestionOutcome:
+def classify_outcome(outcome: SuggestionOutcome, cache: TaskCache) -> SuggestionOutcome:
     """Fill category, edit fraction, subcategory and module-edit tags in place."""
     if outcome.decision is UserAction.REJECTED:
         outcome.category = Category.REJECTED
@@ -274,7 +268,7 @@ def classify_outcome(
     (
         outcome.category, outcome.edit_fraction, outcome.committed_task, outcome.module_changed,
         outcome.minor_subcategory, outcome.module_edit_tags, outcome.doc_unparseable,
-    ) = cache.verdict(outcome.shown_task, outcome.committed_doc, config)
+    ) = cache.verdict(outcome.shown_task, outcome.committed_doc)
     return outcome
 
 
@@ -387,8 +381,8 @@ def module_edit_tags(
     return frozenset(tags)
 
 
-def analyze_timeline(timeline: UserTimeline, config: Config, cache: TaskCache) -> PairingResult:
+def analyze_timeline(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     """pair + classify for one user; the result holds the classified outcomes."""
     paired = pair_outcomes(timeline, cache)
-    paired.outcomes = [classify_outcome(o, config, cache) for o in paired.outcomes]
+    paired.outcomes = [classify_outcome(o, cache) for o in paired.outcomes]
     return paired

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import calendar
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from itertools import accumulate
 from typing import Iterable
 
 from .edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome
 from .events import CompletionEvent, RawEvent, UserTimeline
 
-WEEKDAY_NAMES = tuple(calendar.day_name)  # Monday .. Sunday
+WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
 class EmptyWindow(ValueError):
@@ -172,18 +171,16 @@ def temporal_profile(events: Iterable[RawEvent], window: tuple[date, date]) -> T
         daily[event.day] = daily.get(event.day, 0) + 1
 
     start, end = window
+    in_window = {d: c for d, c in sorted(daily.items()) if start <= d <= end}
     totals = [0] * 7
-    day_counts = [0] * 7
-    cursor = start
-    while cursor <= end:
-        weekday = cursor.weekday()
-        day_counts[weekday] += 1
-        totals[weekday] += daily.get(cursor, 0)
-        cursor += timedelta(days=1)
+    for day, count in in_window.items():
+        totals[day.weekday()] += count
+    # Whole weeks hold each weekday once; the days left over run from start's on.
+    weeks, rest = divmod(max((end - start).days + 1, 0), 7)
+    day_counts = [weeks + ((i - start.weekday()) % 7 < rest) for i in range(7)]
 
     means = {
         WEEKDAY_NAMES[i]: (totals[i] / day_counts[i] if day_counts[i] else 0.0)
         for i in range(7)
     }
-    in_window = {d: c for d, c in sorted(daily.items()) if start <= d <= end}
     return TemporalProfile(daily_counts=in_window, weekday_means=means)

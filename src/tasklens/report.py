@@ -109,10 +109,8 @@ def run_pipeline(
 
     returning = returning_user_cohort(timelines)
 
-    cache = TaskCache(config.directive_keys)
-    analyses = [  # user_id order
-        analyze_timeline(t, config, cache) for t in timelines if t.user_id in returning
-    ]
+    cache = TaskCache(config)
+    analyses = [analyze_timeline(t, cache) for t in timelines if t.user_id in returning]
     summary = acceptance_summary(o for analysis in analyses for o in analysis.outcomes)
     return AnalysisReport(
         window=window,

@@ -4,13 +4,19 @@ Each case is a ``tasklens report`` command line with the exit code it must
 give and either the ``data_quality`` counts of its report or what its error
 message must say.  The CLI runs in a subprocess, so an input that crashes the
 interpreter fails its test instead of ending the run.
+
+Run as a script, this file is the runner of ``run_cases``: it reads a JSON
+list of argument lists on stdin and runs ``tasklens report`` on each in turn,
+in this one process.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -23,7 +29,8 @@ NAMES = (
     "bad_text_lines", "alias_config", "int_key_config", "horizon_config", "week_date_window",
     "set_rename", "deep_extra_field", "list_type", "tab_suggestion", "nan_config",
     "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
-    "unclosed_config", "plain_formfeed_config",
+    "unclosed_config", "plain_formfeed_config", "last_day_event", "last_day_window",
+    "millennia_window",
 )
 
 
@@ -119,6 +126,15 @@ def write_cases(directory: Path) -> dict[str, Case]:
         # break they put the error on different lines.
         "unclosed_config.yaml": "a: [b",
         "plain_formfeed_config.yaml": "retention_horizon: 3\n\x0c\n",
+        # The last representable day, and a window of almost every representable day.
+        "last_day_event.jsonl": _accepted(task, task)
+        + _event(8, "9999-12-31T12:00:00+00:00", "completion",
+                 suggestion_id="s2", prompt="- name: b", context="") + "\n",
+        "millennia_window.jsonl": "".join(
+            _event(i, stamp, "completion", suggestion_id=f"s{i}", prompt="- name: a", context="")
+            + "\n"
+            for i, stamp in enumerate(("0001-01-01T08:00:00+00:00", "9999-12-30T12:00:00+00:00"))
+        ),
     }
     for name, content in files.items():
         if isinstance(content, str):
@@ -175,12 +191,82 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "plain_formfeed_config": bad_config(
             "plain_formfeed_config", "invalid YAML: unacceptable character #x000c (line 2)"
         ),
+        "last_day_event": Case(events("last_day_event"), 0, {"malformed_lines": 0}),
+        "last_day_window": Case(
+            events("merge_snapshot") + ("--window-end", "9999-12-31"), 0, {"malformed_lines": 0}
+        ),
+        "millennia_window": Case(events("millennia_window"), 0, {"malformed_lines": 0}, 3.0),
     }
+
+
+def _environment(pythonpath: tuple[Path, ...]) -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*pythonpath, SRC)))}
 
 
 def run_report(python: str, args: tuple[str, ...], *pythonpath: Path) -> subprocess.CompletedProcess:
     """``tasklens report`` under ``python`` with the source tree on the path."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*pythonpath, SRC)))}
     return subprocess.run(
-        [python, "-m", "tasklens.cli", "report", *args], capture_output=True, env=env, timeout=120
+        [python, "-m", "tasklens.cli", "report", *args],
+        capture_output=True, env=_environment(pythonpath), timeout=120,
     )
+
+
+def run_cases(
+    python: str, argv: dict[str, tuple[str, ...]], *pythonpath: Path
+) -> dict[str, tuple[int, bytes, bytes]]:
+    """(exit code, stdout, stderr) of ``tasklens report`` on each case's
+    arguments, all run by one ``python`` process with the source tree on the
+    path.  A case that ends that process, by a crash, an uncaught exception or
+    a timeout, fails, named, as an AssertionError."""
+    names = list(argv)
+    try:
+        done = subprocess.run(
+            [python, __file__], input=json.dumps([argv[name] for name in names]).encode(),
+            capture_output=True, env=_environment(pythonpath), timeout=600,
+        )
+        stdout, stderr, ending = done.stdout, done.stderr, f"exit {done.returncode}"
+    except subprocess.TimeoutExpired as exc:
+        stdout, stderr, ending = exc.stdout or b"", exc.stderr or b"", "timed out"
+    results = {}
+    for name in names:
+        header, newline, rest = stdout.partition(b"\n")
+        fields = [int(field) for field in header.split()]
+        if not newline or len(fields) != 3 or len(rest) < fields[1] + fields[2]:
+            raise AssertionError(
+                f"case {name!r} ended the runner ({ending}): "
+                + stderr.decode(errors="replace")[-2000:]
+            )
+        code, out_size, err_size = fields
+        results[name] = (code, rest[:out_size], rest[out_size:out_size + err_size])
+        stdout = rest[out_size + err_size:]
+    return results
+
+
+def _serve() -> None:
+    """The runner: each result is a line ``code stdout-size stderr-size`` and
+    then the bytes of both streams, written as soon as the case ends."""
+    from tasklens.cli import main
+
+    real = sys.stdout, sys.stderr
+    for args in json.load(sys.stdin):
+        # New streams encoded as a fresh process would encode its own.
+        captured = [
+            io.TextIOWrapper(io.BytesIO(), encoding=s.encoding, errors=s.errors, newline="\n")
+            for s in real
+        ]
+        sys.stdout, sys.stderr = captured
+        try:
+            code = main(["report", *args])
+        except SystemExit as exc:  # argparse exits with an int
+            code = exc.code
+        finally:
+            sys.stdout, sys.stderr = real
+        for stream in captured:
+            stream.flush()
+        out, err = (stream.buffer.getvalue() for stream in captured)
+        sys.stdout.buffer.write(b"%d %d %d\n" % (code, len(out), len(err)) + out + err)
+        sys.stdout.buffer.flush()
+
+
+if __name__ == "__main__":
+    _serve()

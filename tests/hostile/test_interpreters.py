@@ -2,9 +2,10 @@
 
 The hostile cases and the JSON render of the small synthetic log run under
 every other CPython 3.10+ that ``pyenv`` installed, and their exit codes,
-stdout and stderr must equal this interpreter's.  PyYAML is installed for
-this interpreter only, so the others get a copy of its pure-Python package,
-which also puts them on the loader that does not use libyaml.
+stdout and stderr must equal this interpreter's.  Each interpreter runs every
+case in one process (``run_cases``), this one included.  PyYAML is installed
+for this interpreter only, so the others get a copy of its pure-Python
+package, which also puts them on the loader that does not use libyaml.
 """
 
 import platform
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hostile.cases import NAMES, run_report, write_cases
+from hostile.cases import NAMES, run_cases, run_report, write_cases
 from small_log import small_log_lines
 from tasklens.synth import write_log
 
@@ -55,14 +56,34 @@ def runs(tmp_path_factory):
     pure = tmp / "pure"
     shutil.copytree(Path(yaml.__file__).parent, pure / "yaml",
                     ignore=shutil.ignore_patterns("_yaml*", "__pycache__"))
-    expected = {name: _result(sys.executable, args) for name, args in argv.items()}
+    expected = run_cases(sys.executable, argv)
     assert expected["golden"][1] == GOLDEN_JSON.read_bytes()
     return argv, pure, expected
 
 
-def _result(python, args, *pythonpath):
-    done = run_report(str(python), args, *pythonpath)
-    return done.returncode, done.stdout, done.stderr
+def test_runner_gives_what_a_fresh_process_gives(runs):
+    """A report, a usage error and a bad config: the same bytes either way."""
+    argv, _, expected = runs
+    for name in ("golden", "week_date_window", "nan_config"):
+        done = run_report(sys.executable, argv[name])
+        assert (done.returncode, done.stdout, done.stderr) == expected[name], name
+
+
+def test_a_case_that_ends_the_runner_is_named(tmp_path):
+    fake = tmp_path / "tasklens"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text(
+        "import os\n"
+        "def main(argv):\n"
+        "    if argv[-1] == 'die':\n"
+        "        os._exit(3)\n"
+        "    print('fine')\n"
+        "    return 0\n"
+    )
+    argv = {"first": ("ok",), "second": ("die",), "third": ("ok",)}
+    with pytest.raises(AssertionError, match=r"case 'second' ended the runner \(exit 3\)"):
+        run_cases(sys.executable, argv, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -73,5 +94,6 @@ def _result(python, args, *pythonpath):
 )
 def test_every_interpreter_gives_the_same_bytes(runs, python):
     argv, pure, expected = runs
+    results = run_cases(str(python), argv, pure)
     for name in (*NAMES, "golden"):
-        assert _result(python, argv[name], pure) == expected[name], name
+        assert results[name] == expected[name], name

@@ -56,7 +56,7 @@ def parse(text):
 
 
 def new_cache(config=CONFIG):
-    return TaskCache(config.directive_keys)
+    return TaskCache(config)
 
 SHOWN = """\
 ansible.builtin.copy:
@@ -125,7 +125,7 @@ class TestPairOutcomes:
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.decision is UserAction.REJECTED
         assert outcome.committed_doc is None
-        classified = classify_outcome(outcome, CONFIG, new_cache())
+        classified = classify_outcome(outcome, new_cache())
         assert classified.category is Category.REJECTED
         assert classified.edit_fraction is None
 
@@ -133,7 +133,7 @@ class TestPairOutcomes:
         timeline = timeline_from([("suggestion", suggestion_fields("s1", SHOWN))])
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.decision is UserAction.IGNORED
-        assert classify_outcome(outcome, CONFIG, new_cache()).category is Category.IGNORED
+        assert classify_outcome(outcome, new_cache()).category is Category.IGNORED
 
     def test_accept_without_content_is_unresolved(self):
         timeline = timeline_from(
@@ -143,7 +143,7 @@ class TestPairOutcomes:
             ]
         )
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
-        assert classify_outcome(outcome, CONFIG, new_cache()).category is Category.UNRESOLVED
+        assert classify_outcome(outcome, new_cache()).category is Category.UNRESOLVED
 
     def test_orphan_actions_counted(self):
         timeline = timeline_from(
@@ -287,7 +287,7 @@ def classify(shown_text, doc_text, name="deploy app config", config=None):
     config = config or CONFIG
     cache = new_cache(config)
     (outcome,) = pair_outcomes(timeline, cache).outcomes
-    return classify_outcome(outcome, config, cache)
+    return classify_outcome(outcome, cache)
 
 
 class TestClassifyOutcome:
@@ -482,7 +482,7 @@ class TestTaskCache:
             "    - name: t\n      takeover: true\n      debug:\n        msg: hi\n"
             "    - name: u\n      debug:\n        msg: ho\n"
         )
-        custom = TaskCache(("name", "takeover"))
+        custom = new_cache(Config(directive_keys=("name", "takeover")))
         default = new_cache()
         first, second = custom.parse(doc)
         assert first.directives == {"takeover": True}
@@ -549,7 +549,7 @@ class TestAnalyzeTimeline:
         )
 
     def test_categories_partition_accepted(self):
-        analysis = analyze_timeline(self._mixed_timeline(), CONFIG, new_cache())
+        analysis = analyze_timeline(self._mixed_timeline(), new_cache())
         categories = [o.category for o in analysis.outcomes]
         assert categories.count(Category.FULLY_ACCEPTED) == 1
         assert categories.count(Category.MINOR_EDIT) == 1
@@ -557,8 +557,8 @@ class TestAnalyzeTimeline:
 
     def test_deterministic_across_runs(self):
         timeline = self._mixed_timeline()
-        first = analyze_timeline(timeline, CONFIG, new_cache())
-        second = analyze_timeline(timeline, CONFIG, new_cache())
+        first = analyze_timeline(timeline, new_cache())
+        second = analyze_timeline(timeline, new_cache())
         assert [
             (o.suggestion_id, o.category, o.edit_fraction) for o in first.outcomes
         ] == [(o.suggestion_id, o.category, o.edit_fraction) for o in second.outcomes]
@@ -642,8 +642,8 @@ class TestVerdictTable:
         monkeypatch.setattr(taskparse, "_Loader", loader)
         tabled = edits.classify_outcome
 
-        def from_scratch(outcome, config, cache):
-            return tabled(outcome, config, TaskCache(config.directive_keys))
+        def from_scratch(outcome, cache):
+            return tabled(outcome, TaskCache(cache.config))
 
         for name, (lines, config) in criterion_logs().items():
             log = write_log(tmp_path / f"{name}.jsonl", lines)
@@ -667,9 +667,10 @@ class TestVerdictTable:
         assert report.acceptance.unresolved == 5
         assert len(calls) == 5
 
-    def test_one_cache_gives_each_config_its_verdicts(self):
-        """Minor under the default threshold, major under a lower one; the
-        table is tied to the config it was filled under."""
+    def test_cache_from_each_config_gives_its_verdicts(self):
+        """Minor under the default threshold, major under a lower one: a cache
+        built from a config classifies under it, and its table, filled or
+        not, gives what a fresh cache gives."""
         minor_doc = doc_with("deploy app config", _replace_line(SHOWN, 2, "  dest: /etc/v2.conf"))
         timeline = timeline_from(
             [
@@ -680,16 +681,18 @@ class TestVerdictTable:
                 ("content", {"document": minor_doc}),
             ]
         )
-        cache = new_cache()
-        (paired,) = pair_outcomes(timeline, cache).outcomes
         strict = Config(minor_major_threshold=0.1)
-        expected = {CONFIG: Category.MINOR_EDIT, strict: Category.MAJOR_EDIT}
-        for config in (CONFIG, strict, CONFIG, strict):
-            outcome = classify_outcome(dataclasses.replace(paired), config, cache)
-            assert outcome.category is expected[config]
-            assert outcome.edit_fraction == pytest.approx(1 / 6)
-            fresh = classify_outcome(dataclasses.replace(paired), config, new_cache(config))
-            assert outcome == fresh
+        for config, expected in ((CONFIG, Category.MINOR_EDIT), (strict, Category.MAJOR_EDIT)):
+            cache = new_cache(config)
+            assert cache.config is config
+            (paired,) = pair_outcomes(timeline, cache).outcomes
+            for _ in range(2):  # the second verdict comes from the table
+                outcome = classify_outcome(dataclasses.replace(paired), cache)
+                assert outcome.category is expected
+                assert outcome.edit_fraction == pytest.approx(1 / 6)
+                fresh_cache = new_cache(config)
+                (fresh,) = pair_outcomes(timeline, fresh_cache).outcomes
+                assert outcome == classify_outcome(fresh, fresh_cache)
 
     def test_shown_task_is_named_once_per_text_and_prompt(self, monkeypatch):
         names = []

@@ -5,11 +5,14 @@ from datetime import date, timedelta
 from operator import attrgetter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tasklens.config import Config
 from tasklens.edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome
 from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.metrics import (
+    WEEKDAY_NAMES,
     EmptyWindow,
     RetentionPoint,
     acceptance_summary,
@@ -435,3 +438,38 @@ class TestTemporalProfile:
         profile = temporal_profile([feedback], (date(2023, 6, 5), date(2023, 6, 5)))
         assert profile.daily_counts == {}
         assert profile.weekday_means["Monday"] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.dates(),
+        length=st.integers(-10, 60),
+        offsets=st.lists(st.integers(-15, 70), max_size=20),
+    )
+    @example(start=date(9999, 12, 20), length=12, offsets=[11])  # ends on date.max
+    @example(start=date.min, length=60, offsets=[0, 3])
+    def test_weekday_counts_equal_a_day_by_day_walk(self, start, length, offsets):
+        """Any window, empty and reversed ones and the ends of the date range
+        included: the weekday means are those of walking the window day by day."""
+        last = date.max.toordinal()
+
+        def clamp(ordinal):
+            return date.fromordinal(min(max(ordinal, 1), last))
+
+        end = clamp(start.toordinal() + length - 1)
+        counts = {}
+        for offset in offsets:
+            day = clamp(start.toordinal() + offset)
+            counts[day] = counts.get(day, 0) + 1
+        totals, days = [0] * 7, [0] * 7
+        for ordinal in range(start.toordinal(), end.toordinal() + 1):
+            day = date.fromordinal(ordinal)
+            days[day.weekday()] += 1
+            totals[day.weekday()] += counts.get(day, 0)
+        walked = {
+            name: totals[i] / days[i] if days[i] else 0.0 for i, name in enumerate(WEEKDAY_NAMES)
+        }
+        profile = temporal_profile(completion_events(counts), (start, end))
+        assert profile.weekday_means == walked
+        assert profile.daily_counts == {
+            day: count for day, count in sorted(counts.items()) if start <= day <= end
+        }

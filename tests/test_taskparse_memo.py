@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tasklens import taskparse
+from tasklens.config import Config
 from tasklens.edits import TaskCache
 from tasklens.taskparse import (
     DEFAULT_DIRECTIVE_KEYS,
@@ -321,7 +322,7 @@ def test_resumed_cut_equals_a_fresh_cut(loader, data):
     head, items, tail, ending = data.draw(playbooks())
     playbook = [head, items, tail, ending]
     column = len(items[0][0]) - len(items[0][0].lstrip(" "))
-    cache = TaskCache(DEFAULT_DIRECTIVE_KEYS)
+    cache = TaskCache(Config())
     previous = None
     with mock.patch.object(taskparse, "_Loader", loader):
         for kind in [None] + data.draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=8)):
