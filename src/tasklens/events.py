@@ -253,6 +253,8 @@ def _decode_json(line: str):
         raise MalformedJson("invalid JSON: Expecting value") from None
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON: {exc.msg}") from None
+    except ValueError:  # an integer longer than int() converts (sys.get_int_max_str_digits)
+        raise MalformedJson("invalid JSON: integer has too many digits") from None
     except RecursionError:
         raise MalformedJson("invalid JSON: nested too deeply") from None
     # A log line ends in "\n": the regex runs only on other trailing text.
@@ -284,14 +286,110 @@ def _holds_surrogate(value) -> bool:
     return False
 
 
-def parse_event_line(line: str, shared: dict | None = None) -> RawEvent:
-    """Parse and validate one JSONL event line.
+# The line shape the collectors write, which parse_event_line reads without
+# the JSON decoder: the keys in README order, ids with no escape or control
+# character, counts of 1 to 18 digits with no leading zero, and every "," and
+# ":" followed by the same space, none or one (json.dumps' default).  The ts is
+# taken as written, since _parse_stamp refuses anything but RFC 3339.  Each
+# free text is spanned loosely; scanstring, the decoder's own string reader,
+# decodes it from the span's start and must stop at the quote after its end.
+_ID = r'[^"\\\x00-\x1f]+'
+_COUNT = r"[1-9][0-9]{0,17}"  # [0-9]: \d also matches other scripts' digits
+_EVENT_LINE = re.compile(
+    rf'\{{"event_id":(?P<sp> ?)"(?P<event_id>{_ID})",(?P=sp)"user_id":(?P=sp)"(?P<user_id>{_ID})",'
+    r'(?P=sp)"ts":(?P=sp)"(?P<ts>[^"]+)",(?P=sp)"type":(?P=sp)"(?:'
+    rf'completion",(?P=sp)"suggestion_id":(?P=sp)"(?P<completion_sid>{_ID})",'
+    # The prompt is spanned as a JSON string body, so that it cannot run on
+    # into the context: two unbounded spans would backtrack quadratically.
+    r'(?P=sp)"prompt":(?P=sp)"(?P<prompt>[^"\\]*(?:\\.[^"\\]*)*)",'
+    r'(?P=sp)"context":(?P=sp)"(?P<context>.*)"'
+    rf'|suggestion",(?P=sp)"suggestion_id":(?P=sp)"(?P<suggestion_sid>{_ID})",'
+    rf'(?P=sp)"text":(?P=sp)"(?P<text>.*)",(?P=sp)"lines":(?P=sp)(?P<lines>{_COUNT}),'
+    rf'(?P=sp)"tokens":(?P=sp)(?P<tokens>{_COUNT})'
+    rf'|action",(?P=sp)"suggestion_id":(?P=sp)"(?P<action_sid>{_ID})",'
+    r'(?P=sp)"action":(?P=sp)"(?P<action>accepted|rejected|ignored)"'
+    rf'|content",(?P=sp)(?:"suggestion_id":(?P=sp)"(?P<content_sid>{_ID})",(?P=sp))?'
+    r'"document":(?P=sp)"(?P<document>.*)"'
+    r')\}\n?\Z',
+    re.DOTALL,
+)
+_scan_string = json.decoder.scanstring
 
-    A line that holds a lone surrogate, raw or as a JSON escape, is malformed.
-    The user id, suggestion id, suggestion text, document, prompt and context
-    go through ``shared``: lines parsed with one dict hold one object for each
-    distinct value of those fields.  Event ids, which never repeat, do not.
-    """
+
+def _text_at(line: str, span: tuple[int, int]) -> str | None:
+    """The JSON string whose body the pattern spans; None unless it ends where
+    the span does and holds no lone surrogate."""
+    start, end = span
+    if start == end:
+        return ""
+    try:
+        text, stop = _scan_string(line, start)
+    except json.JSONDecodeError:
+        return None
+    if stop != end + 1 or (not text.isascii() and _SURROGATE.search(text)):
+        return None
+    return text
+
+
+@lru_cache(maxsize=1024)
+def _line_count(text: str) -> int:
+    """How many lines a suggestion text has; cached, since texts repeat."""
+    return len(text.splitlines())
+
+
+def _event_of_match(match: re.Match, shared: dict | None) -> RawEvent | None:
+    """The event _parse_json_line gives for the line _EVENT_LINE matched, or
+    None where a check fails.  The kind is the one whose suggestion id
+    matched, or content, whose suggestion id is optional.  Nothing goes
+    through ``shared`` until every check has passed, then in the order
+    _parse_json_line shares."""
+    (_, event_id, user_id, ts, completion_sid, prompt, context, suggestion_sid, text, lines,
+     tokens, action_sid, action, content_sid, document) = match.groups()
+    # The texts are decoded from the line, and these copies dropped first: a
+    # document copy alive while its text is decoded leaves a hole the next
+    # line does not fit (0.7 MiB more peak RSS on the playbooks bench).
+    del prompt, context, text, document
+    try:
+        instant, day = _parse_stamp(ts)
+    except BadTimestamp:
+        return None
+    line = match.string
+    share = ({} if shared is None else shared).setdefault
+    if completion_sid is not None:
+        prompt = _text_at(line, match.span("prompt"))
+        context = _text_at(line, match.span("context"))
+        if prompt is None or context is None:
+            return None
+        return CompletionEvent(
+            event_id, share(user_id, user_id), instant, day, share(completion_sid, completion_sid),
+            share(prompt, prompt), share(context, context),
+        )
+    if suggestion_sid is not None:
+        text = _text_at(line, match.span("text"))
+        lines = int(lines)
+        if text is None or lines != _line_count(text):
+            return None
+        return SuggestionEvent(
+            event_id, share(user_id, user_id), instant, day, share(suggestion_sid, suggestion_sid),
+            share(text, text), lines, int(tokens),
+        )
+    if action_sid is not None:
+        return ActionEvent(
+            event_id, share(user_id, user_id), instant, day, share(action_sid, action_sid),
+            _ACTION_BY_NAME[action],
+        )
+    document = _text_at(line, match.span("document"))
+    if document is None:
+        return None
+    return ContentEvent(
+        event_id, share(user_id, user_id), instant, day, share(document, document),
+        share(content_sid, content_sid),
+    )
+
+
+def _parse_json_line(line: str, shared: dict | None = None) -> RawEvent:
+    """parse_event_line by the JSON decoder: the path of every line that
+    _EVENT_LINE does not take, and the one that raises every parse error."""
     if not line.isascii() and _SURROGATE.search(line):
         raise MalformedJson("line is not valid UTF-8")
     obj = _decode_json(line)
@@ -354,6 +452,27 @@ def parse_event_line(line: str, shared: dict | None = None) -> RawEvent:
         raise BadFieldValue("field 'label' must be a string when present")
     stars = _require_int(obj, "stars", minimum=1, maximum=5)
     return cls(event_id, user_id, instant, day, stars, _require_text(obj, "comment"), label)
+
+
+def parse_event_line(line: str, shared: dict | None = None) -> RawEvent:
+    """Parse and validate one JSONL event line.
+
+    A line that holds a lone surrogate, raw or as a JSON escape, is malformed.
+    The user id, suggestion id, suggestion text, document, prompt and context
+    go through ``shared``: lines parsed with one dict hold one object for each
+    distinct value of those fields.  Event ids, which never repeat, do not.
+
+    A line in the collectors' shape (_EVENT_LINE) is read from the pattern's
+    match; any other line, and any line where a check fails, is read by the
+    JSON decoder, which gives the same event or raises the error.
+    """
+    match = _EVENT_LINE.match(line)
+    # A raw lone surrogate (invalid UTF-8) anywhere is the JSON path's to refuse.
+    if match is not None and (line.isascii() or not _SURROGATE.search(line)):
+        event = _event_of_match(match, shared)
+        if event is not None:
+            return event
+    return _parse_json_line(line, shared)
 
 
 @contextmanager

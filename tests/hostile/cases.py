@@ -30,7 +30,7 @@ NAMES = (
     "set_rename", "deep_extra_field", "list_type", "tab_suggestion", "nan_config",
     "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
     "unclosed_config", "plain_formfeed_config", "last_day_event", "last_day_window",
-    "millennia_window",
+    "millennia_window", "huge_int_line", "escaped_canonical_lines",
 )
 
 
@@ -89,6 +89,22 @@ def write_cases(directory: Path) -> dict[str, Case]:
     deep = []
     for _ in range(99):
         deep = [deep]
+    # Lines in the collectors' shape whose texts need JSON escapes ("é", '"',
+    # a backslash, a tab), one with a 19-digit token count, more digits than
+    # the pattern reads, and one with an escaped lone surrogate: malformed.
+    escaped_task = "- name: a\n  debug:\n    msg: 'caf\u00e9 \"quoted\" back\\slash'\n"
+    escaped_lines = _accepted(escaped_task, escaped_task) + "".join(
+        line + "\n" for line in (
+            _event(5, "2023-06-01T08:00:05+00:00", "completion", suggestion_id="s2",
+                   prompt="- name: b", context='\t"tab" caf\u00e9\\'),
+            _event(6, "2023-06-01T08:00:06+00:00", "suggestion", suggestion_id="s2",
+                   text=escaped_task, lines=3, tokens=10**18),
+            _event(7, "2023-06-01T08:00:07+00:00", "completion", suggestion_id="s3",
+                   prompt="- name: \udc80", context=""),
+        )
+    )
+    # An ignored field holding an integer longer than int() converts.
+    huge_int = feedback(8, extra=0).replace('"extra": 0', '"extra": ' + "7" * 5_000)
     bad_lines = (
         feedback(8, label="bad ?").encode().replace(b"?", b"\xff\xfe") + b"\n"
         + feedback(9, label="bad \udc80").encode() + b"\n"
@@ -130,6 +146,8 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "last_day_event.jsonl": _accepted(task, task)
         + _event(8, "9999-12-31T12:00:00+00:00", "completion",
                  suggestion_id="s2", prompt="- name: b", context="") + "\n",
+        "huge_int_line.jsonl": _accepted(task, task) + huge_int + "\n",
+        "escaped_canonical_lines.jsonl": escaped_lines,
         "millennia_window.jsonl": "".join(
             _event(i, stamp, "completion", suggestion_id=f"s{i}", prompt="- name: a", context="")
             + "\n"
@@ -196,6 +214,12 @@ def write_cases(directory: Path) -> dict[str, Case]:
             events("merge_snapshot") + ("--window-end", "9999-12-31"), 0, {"malformed_lines": 0}
         ),
         "millennia_window": Case(events("millennia_window"), 0, {"malformed_lines": 0}, 3.0),
+        "huge_int_line": Case(events("huge_int_line"), 0, {"malformed_lines": 1}),
+        "escaped_canonical_lines": Case(
+            events("escaped_canonical_lines"), 0,
+            {"malformed_lines": 1, "unparseable_suggestions": 0, "unparseable_documents": 0,
+             "unresolved_outcomes": 0},
+        ),
     }
 
 

@@ -24,13 +24,17 @@ from tasklens.events import (
     UnknownKind,
     UserAction,
     UserTimeline,
+    _event_of_match,
+    _EVENT_LINE,
+    _parse_json_line,
     build_timelines,
     collector_paused,
     deduplicate,
     parse_event_line,
     read_events,
 )
-from tasklens.synth import write_log
+from tasklens.synth import edit_analysis_lines, mixed_lines, write_log
+from small_log import SMALL_MIX
 
 
 def completion_line(event_id="e1", user_id="u1", ts="2023-06-01T09:00:00+02:00", **extra):
@@ -747,3 +751,184 @@ class TestCollectorPaused:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+def test_integer_past_the_conversion_limit_is_malformed(tmp_path):
+    """The decoder raises a plain ValueError for an integer longer than int()
+    converts; the line is skipped and counted like any invalid JSON."""
+    line = completion_line()[:-1] + ', "extra": ' + "1" * 5000 + "}"
+    with pytest.raises(MalformedJson, match="too many digits"):
+        parse_event_line(line)
+    result = read_events([write_log(tmp_path / "log.jsonl", [completion_line(), line])])
+    assert (len(result.events), result.malformed_lines) == (1, 1)
+
+
+# The differential of the two paths: parse_event_line reads a line in the
+# collectors' shape from _EVENT_LINE's match and hands every other line to
+# _parse_json_line.  Lines are drawn in that shape, and most get one mutation.
+PLAIN_IDS = st.text(alphabet="abz019-_.:/ ", min_size=1, max_size=6)
+HOSTILE_IDS = ["", "café", 'a"b', "back\\slash", "tab\t", "\udc80", "\x7f"]
+TEXTS = st.text(
+    alphabet=st.sampled_from(
+        ["a", "z", " ", ":", ",", "-", "\n", '"', "\\", "/", "\t", "é", "\U0001f600", "\x7f",
+         " ", "\x0c"]
+    ),
+    max_size=10,
+)
+STAMPS = ["2023-06-01T08:00:00+00:00", "2023-06-01T08:00:00.25Z", "2023-06-01T23:30:00-02:00"]
+BAD_STAMPS = ["2023-06-01T08:00:00", "2023-02-29T08:00:00Z", "yesterday", ""]
+# What may replace a suggestion's ``lines`` count: zero, a leading zero, a
+# sign, a fraction, an exponent, or 19 digits.
+BAD_COUNTS = ["0", "06", "-1", "6.0", "1e0", "1" * 19]
+COUNT_SENTINEL = 987654321987654321
+MUTATIONS = [
+    "hostile_id", "raw_control_id", "raw_surrogate_id", "escaped_surrogate", "raw_surrogate",
+    "bad_ts", "escaped_ts",
+    "count_mismatch", "bad_count", "huge_tokens", "bad_action", "swap", "extra", "missing",
+    "other_kind", "escaped_slash", "mixed_separators", "ending", "duplicate_key", "unescaped_quote",
+]
+
+
+@st.composite
+def event_lines(draw):
+    """(line, plain): plain when the line is in the collectors' shape with
+    valid values, so that the pattern path must take it."""
+    mutation = draw(st.sampled_from([None, None, None, *MUTATIONS]))
+    ids = [draw(PLAIN_IDS) for _ in range(3)]
+    hostile = {"hostile_id": st.sampled_from(HOSTILE_IDS), "raw_control_id": st.just("tab\t"),
+               "raw_surrogate_id": st.just("\udc80")}.get(mutation)
+    if hostile is not None:
+        ids[draw(st.integers(0, 2))] = draw(hostile)
+    kinds = ["completion", "suggestion", "action", "content"]
+    kind = draw(st.sampled_from(
+        {"escaped_surrogate": ["completion", "suggestion", "content"],
+         "raw_surrogate": ["completion", "suggestion", "content"],
+         "count_mismatch": ["suggestion"], "bad_count": ["suggestion"],
+         "huge_tokens": ["suggestion"], "bad_action": ["action"],
+         "other_kind": ["feedback", "mystery"]}.get(mutation, kinds)
+    ))
+    stamps = BAD_STAMPS if mutation == "bad_ts" else STAMPS
+    obj = {"event_id": ids[0], "user_id": ids[1], "ts": draw(st.sampled_from(stamps)), "type": kind}
+    if kind == "completion":
+        obj.update(suggestion_id=ids[2], prompt=draw(TEXTS), context=draw(TEXTS))
+    elif kind == "suggestion":
+        tokens = draw(st.integers(10**18, 10**20) if mutation == "huge_tokens"
+                      else st.integers(1, 99))
+        obj.update(suggestion_id=ids[2], text=draw(TEXTS), lines=COUNT_SENTINEL, tokens=tokens)
+    elif kind == "action":
+        action = draw(st.sampled_from(["maybe", "Accepted", ""] if mutation == "bad_action"
+                                      else ["accepted", "rejected", "ignored"]))
+        obj.update(suggestion_id=ids[2], action=action)
+    elif kind == "content":
+        if draw(st.booleans()):
+            obj["suggestion_id"] = ids[2]
+        obj["document"] = draw(TEXTS)
+    else:
+        obj.update(stars=3, comment=draw(TEXTS))
+    texts = [name for name in ("prompt", "context", "text", "document") if name in obj]
+    if mutation in ("escaped_surrogate", "raw_surrogate"):
+        name = draw(st.sampled_from(texts))
+        at = draw(st.integers(0, len(obj[name])))
+        obj[name] = obj[name][:at] + draw(st.sampled_from(["\ud800", "\udfff"])) + obj[name][at:]
+    keys = list(obj)
+    if mutation == "swap":
+        i = draw(st.integers(0, len(keys) - 2))
+        keys[i], keys[i + 1] = keys[i + 1], keys[i]
+    elif mutation == "extra":  # often last, where the last text's span runs on into it
+        at = len(keys) if draw(st.booleans()) else draw(st.integers(0, len(keys)))
+        keys.insert(at, "extra")
+        obj["extra"] = draw(st.sampled_from(["x", 1, None, [1]]))
+    elif mutation == "missing":
+        keys.remove(draw(st.sampled_from(keys)))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    ensure_ascii = {"escaped_surrogate": True, "raw_surrogate": False,
+                    "raw_surrogate_id": False}.get(mutation, draw(st.booleans()))
+    line = json.dumps({key: obj[key] for key in keys}, separators=separators,
+                      ensure_ascii=ensure_ascii)
+    if "lines" in obj:
+        count = len(obj["text"].splitlines())
+        if mutation == "count_mismatch":
+            count += 1
+        lines = draw(st.sampled_from(BAD_COUNTS)) if mutation == "bad_count" else str(count)
+        line = line.replace(str(COUNT_SENTINEL), lines)
+    if mutation == "raw_control_id":
+        line = line.replace("\\t", "\t")
+    elif mutation == "escaped_ts":
+        line = line.replace('"2023-', '"\\u0032023-', 1)
+    elif mutation == "escaped_slash":
+        line = line.replace("/", "\\/")
+    elif mutation == "mixed_separators":
+        line = line.replace(", ", ",", 1) if separators[0] == ", " else line.replace(",", ", ", 1)
+    elif mutation == "duplicate_key":  # the decoder keeps the last value
+        line = line[:-1] + separators[0] + json.dumps(keys[-1]) + separators[1] + '"again"}'
+    elif mutation == "unescaped_quote":
+        line = line.replace('\\"', '"', 1)
+    ending = "\n"
+    if mutation == "ending":
+        ending = draw(st.sampled_from(["", "\r\n", " \n", "x", "\n\n", "}", "\n}"]))
+    plain = mutation is None and obj.get("text") != ""  # "" has no lines; ``lines`` must be 1+
+    return line + ending, plain
+
+
+def outcome(parse, line, shared):
+    try:
+        return parse(line, shared)
+    except EventParseError as exc:
+        return type(exc), str(exc)
+
+
+# The fields parse_event_line passes through ``shared``.
+SHARED_FIELDS = {
+    "user_id", "suggestion_id", "prompt", "context", "suggestion_text", "document_text",
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(event_lines())
+def test_pattern_path_equals_the_json_path(drawn):
+    """Equal class and field values, the same objects through ``shared`` and
+    nothing more put in it, or the same error; a plain line takes the pattern."""
+    line, plain = drawn
+    shared = {}
+    expected = outcome(_parse_json_line, line, shared)
+    entries = dict(shared)
+    event = outcome(parse_event_line, line, shared)
+    assert shared == entries and all(shared[key] is value for key, value in entries.items())
+    if isinstance(expected, tuple):
+        assert event == expected
+        assert not plain
+        return
+    assert type(event) is type(expected)
+    for slot in RawEvent.__slots__ + type(event).__slots__:
+        value, wanted = getattr(event, slot), getattr(expected, slot)
+        assert type(value) is type(wanted) and value == wanted, slot
+        if slot in SHARED_FIELDS:
+            assert value is wanted, slot
+    if plain:
+        match = _EVENT_LINE.match(line)
+        assert match is not None and _event_of_match(match, {}) is not None
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [edit_analysis_lines(SMALL_MIX, n_users=5), mixed_lines(target_events=2_000, n_users=20)],
+    ids=["criterion-1", "criterion-7"],
+)
+def test_every_valid_collector_line_takes_the_pattern_path(lines):
+    """Every valid completion, suggestion, action and content line the
+    generators write is read from _EVENT_LINE's match, not by the decoder: a
+    change to either that left them to the JSON path would pass the
+    differential and only show as lost speed."""
+    kinds = set()
+    for line in lines:
+        line += "\n"
+        try:
+            event = _parse_json_line(line)
+        except EventParseError:
+            continue
+        if type(event) is FeedbackEvent:
+            continue
+        match = _EVENT_LINE.match(line)
+        assert match is not None and _event_of_match(match, {}) is not None, line
+        kinds.add(type(event))
+    assert kinds == {CompletionEvent, SuggestionEvent, ActionEvent, ContentEvent}
