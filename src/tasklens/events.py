@@ -214,8 +214,6 @@ def _parse_timestamp(obj: dict) -> tuple[float, date]:
 _ACTION_BY_NAME = {action.value: action for action in UserAction}
 
 
-_scan_json = json.JSONDecoder().scan_once
-_JSON_WHITESPACE = re.compile(r"[ \t\n\r]*")
 # The deepest nesting of arrays and objects an event line may hold (the event
 # object itself is level 1).  The decoder recurses once per level, so whether
 # a deeper line decodes would depend on the caller's stack depth and on the
@@ -224,66 +222,51 @@ MAX_JSON_DEPTH = 64
 # A lone surrogate cannot be encoded as UTF-8.  Invalid UTF-8 bytes decode to
 # one under "surrogateescape", and a JSON \u escape can spell one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-# A JSON escape of a code point in U+D800..U+DFFF; lines without one skip the walk.
+# A JSON escape of a code point in U+D800..U+DFFF.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _nests_too_deeply(value) -> bool:
-    """Whether a decoded value nests arrays and objects deeper than MAX_JSON_DEPTH."""
-    level = [value]
-    for _ in range(MAX_JSON_DEPTH):
-        level = [
-            child
-            for value in level
-            if type(value) in (dict, list)
-            for child in (value.values() if type(value) is dict else value)
-        ]
-        if not level:
-            return False
-    return any(type(value) in (dict, list) for value in level)
+def _check_json_value(value) -> None:
+    """Raise MalformedJson if a decoded value nests arrays and objects deeper
+    than MAX_JSON_DEPTH or holds a lone surrogate in any string, keys included."""
+    level, depth = [value], 1
+    while level:
+        children = []
+        for item in level:
+            kind = type(item)
+            if kind is str:
+                if _SURROGATE.search(item):
+                    raise MalformedJson("a string holds an unpaired surrogate")
+            elif kind is dict or kind is list:
+                if depth > MAX_JSON_DEPTH:
+                    raise MalformedJson("invalid JSON: nested too deeply")
+                children.extend(item)  # a dict's keys
+                if kind is dict:
+                    children.extend(item.values())
+        level, depth = children, depth + 1
 
 
 def _decode_json(line: str):
-    """Accept what ``json.loads`` accepts, nested at most MAX_JSON_DEPTH levels
-    deep, without its per-call overhead."""
-    start = 0 if line[:1] == "{" else _JSON_WHITESPACE.match(line).end()
+    """``json.loads(line)``; MalformedJson where the line holds a raw lone
+    surrogate, where json.loads fails, or where the value nests deeper than
+    MAX_JSON_DEPTH or holds a lone surrogate.
+
+    Only an escape can then spell a surrogate, and each level opens with a
+    bracket: a line with no "[", one "{" and no such escape skips the walk.
+    """
+    if not line.isascii() and _SURROGATE.search(line):
+        raise MalformedJson("line is not valid UTF-8")
     try:
-        obj, end = _scan_json(line, start)
-    except StopIteration:
-        raise MalformedJson("invalid JSON: Expecting value") from None
+        value = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON: {exc.msg}") from None
     except ValueError:  # an integer longer than int() converts (sys.get_int_max_str_digits)
         raise MalformedJson("invalid JSON: integer has too many digits") from None
     except RecursionError:
         raise MalformedJson("invalid JSON: nested too deeply") from None
-    # A log line ends in "\n": the regex runs only on other trailing text.
-    if (
-        end != len(line)
-        and line[end:] != "\n"
-        and _JSON_WHITESPACE.match(line, end).end() != len(line)
-    ):
-        raise MalformedJson("invalid JSON: Extra data")
-    # Each level opens with a bracket: a line with no "[" and one "{" is flat.
-    if ("[" in line or line.find("{", 1) >= 0) and _nests_too_deeply(obj):
-        raise MalformedJson("invalid JSON: nested too deeply")
-    return obj
-
-
-def _holds_surrogate(value) -> bool:
-    """Whether any string in a decoded JSON value, keys included, holds a lone surrogate."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if type(value) is str:
-            if _SURROGATE.search(value):
-                return True
-        elif type(value) is dict:
-            stack.extend(value)
-            stack.extend(value.values())
-        elif type(value) is list:
-            stack.extend(value)
-    return False
+    if "[" in line or line.find("{", 1) >= 0 or _SURROGATE_ESCAPE.search(line):
+        _check_json_value(value)
+    return value
 
 
 # The line shape the collectors write, which parse_event_line reads without
@@ -310,7 +293,7 @@ _EVENT_LINE = re.compile(
     r'(?P=sp)"action":(?P=sp)"(?P<action>accepted|rejected|ignored)"'
     rf'|content",(?P=sp)(?:"suggestion_id":(?P=sp)"(?P<content_sid>{_ID})",(?P=sp))?'
     r'"document":(?P=sp)"(?P<document>.*)"'
-    r')\}\n?\Z',
+    r')\}\r?\n?\Z',
     re.DOTALL,
 )
 _scan_string = json.decoder.scanstring
@@ -390,13 +373,9 @@ def _event_of_match(match: re.Match, shared: dict | None) -> RawEvent | None:
 def _parse_json_line(line: str, shared: dict | None = None) -> RawEvent:
     """parse_event_line by the JSON decoder: the path of every line that
     _EVENT_LINE does not take, and the one that raises every parse error."""
-    if not line.isascii() and _SURROGATE.search(line):
-        raise MalformedJson("line is not valid UTF-8")
     obj = _decode_json(line)
     if not isinstance(obj, dict):
         raise MalformedJson("event line is not a JSON object")
-    if _SURROGATE_ESCAPE.search(line) and _holds_surrogate(obj):
-        raise MalformedJson("a string holds an unpaired surrogate")
 
     share = ({} if shared is None else shared).setdefault
     event_id = _require_str(obj, "event_id")
@@ -426,10 +405,8 @@ def _parse_json_line(line: str, shared: dict | None = None) -> RawEvent:
         text = _require_text(obj, "text")
         lines = _require_int(obj, "lines", minimum=1)
         tokens = _require_int(obj, "tokens", minimum=1)
-        if lines != len(text.splitlines()):
-            raise BadFieldValue(
-                f"field 'lines' is {lines} but text has {len(text.splitlines())} lines"
-            )
+        if lines != _line_count(text):
+            raise BadFieldValue(f"field 'lines' is {lines} but text has {_line_count(text)} lines")
         sid = _require_str(obj, "suggestion_id")
         return cls(
             event_id, user_id, instant, day, share(sid, sid), share(text, text), lines, tokens
@@ -511,7 +488,8 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
     malformed = 0
     shared: dict = {}
     for path in paths:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        # A line ends at "\n" alone: JSON allows a raw "\r" between tokens.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
             for line in handle:
                 if line.isspace():
                     continue

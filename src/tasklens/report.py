@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable
@@ -204,14 +204,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "deduplicated": _temporal_dict(report.temporal_dedup),
         },
         "feedback": _feedback_dict(report.feedback),
-        "data_quality": {
-            "malformed_lines": report.data_quality.malformed_lines,
-            "duplicates_removed": report.data_quality.duplicates_removed,
-            "orphan_actions": report.data_quality.orphan_actions,
-            "unresolved_outcomes": report.data_quality.unresolved_outcomes,
-            "unparseable_suggestions": report.data_quality.unparseable_suggestions,
-            "unparseable_documents": report.data_quality.unparseable_documents,
-        },
+        "data_quality": asdict(report.data_quality),
     }
 
 

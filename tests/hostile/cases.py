@@ -30,7 +30,8 @@ NAMES = (
     "set_rename", "deep_extra_field", "list_type", "tab_suggestion", "nan_config",
     "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
     "unclosed_config", "plain_formfeed_config", "last_day_event", "last_day_window",
-    "millennia_window", "huge_int_line", "escaped_canonical_lines",
+    "millennia_window", "huge_int_line", "escaped_canonical_lines", "raw_cr_line",
+    "json_path_lines",
 )
 
 
@@ -62,6 +63,14 @@ def _accepted(text: str, snapshot: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def nested(levels: int) -> list:
+    """An empty list nested ``levels`` levels deep, itself the first."""
+    value = []
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
 def alias_chain(levels: int) -> str:
     """A flow list whose level i holds level i - 1 twice, through aliases."""
     links = ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, levels)]
@@ -86,9 +95,7 @@ def write_cases(directory: Path) -> dict[str, Case]:
     # 2,000 equal option lines, one changed: about 4 million equal line pairs.
     repeated = "- name: a\n  copy:\n" + "    src: x\n" * 2_000
     # An ignored field nested 100 levels deep, past the 64 an event line may nest.
-    deep = []
-    for _ in range(99):
-        deep = [deep]
+    deep = nested(100)
     # Lines in the collectors' shape whose texts need JSON escapes ("é", '"',
     # a backslash, a tab), one with a 19-digit token count, more digits than
     # the pattern reads, and one with an escaped lone surrogate: malformed.
@@ -105,6 +112,25 @@ def write_cases(directory: Path) -> dict[str, Case]:
     )
     # An ignored field holding an integer longer than int() converts.
     huge_int = feedback(8, extra=0).replace('"extra": 0', '"extra": ' + "7" * 5_000)
+    # JSON allows a raw "\r" between tokens; a line still ends at "\n" alone.
+    raw_cr = _event(8, "2023-06-01T08:00:09+00:00", "completion", suggestion_id="s2",
+                    prompt="- name: b", context="").replace(', "user_id"', ',\r"user_id"')
+    # Lines the collectors' pattern refuses, so that only the JSON path reads
+    # them: an accepted suggestion with "type" first, one line ended by CRLF
+    # and one led by spaces, a feedback line, extra fields nesting the line 64
+    # and 65 levels deep, one keyed by an escaped lone surrogate, and a BOM.
+    reordered = [
+        json.dumps({"type": json.loads(line)["type"], **json.loads(line)})
+        for line in _accepted(task, task).splitlines()
+    ]
+    reordered[1] += "\r"
+    reordered[2] = "  " + reordered[2]
+    extra = partial(_event, 9, "2023-06-01T08:00:10+00:00", "completion",
+                    suggestion_id="s2", prompt="- name: b", context="")
+    json_path = "".join(line + "\n" for line in (
+        *reordered, feedback(8), extra(extra=nested(63)), extra(extra=nested(64)),
+        extra(extra={"\udc80": 1}), "\ufeff" + extra(),
+    ))
     bad_lines = (
         feedback(8, label="bad ?").encode().replace(b"?", b"\xff\xfe") + b"\n"
         + feedback(9, label="bad \udc80").encode() + b"\n"
@@ -148,6 +174,8 @@ def write_cases(directory: Path) -> dict[str, Case]:
                  suggestion_id="s2", prompt="- name: b", context="") + "\n",
         "huge_int_line.jsonl": _accepted(task, task) + huge_int + "\n",
         "escaped_canonical_lines.jsonl": escaped_lines,
+        "raw_cr_line.jsonl": _accepted(task, task) + raw_cr + "\n",
+        "json_path_lines.jsonl": json_path,
         "millennia_window.jsonl": "".join(
             _event(i, stamp, "completion", suggestion_id=f"s{i}", prompt="- name: a", context="")
             + "\n"
@@ -219,6 +247,12 @@ def write_cases(directory: Path) -> dict[str, Case]:
             events("escaped_canonical_lines"), 0,
             {"malformed_lines": 1, "unparseable_suggestions": 0, "unparseable_documents": 0,
              "unresolved_outcomes": 0},
+        ),
+        "raw_cr_line": Case(events("raw_cr_line"), 0, {"malformed_lines": 0}),
+        "json_path_lines": Case(
+            events("json_path_lines"), 0,
+            {"malformed_lines": 3, "duplicates_removed": 0, "orphan_actions": 0,
+             "unresolved_outcomes": 0, "unparseable_suggestions": 0, "unparseable_documents": 0},
         ),
     }
 

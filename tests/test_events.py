@@ -188,6 +188,9 @@ class TestParseEventLine:
         line = completion_line().replace('"s1"', f'"{text}"')
         with pytest.raises(MalformedJson):
             parse_event_line(line)
+        line = completion_line().replace('"s1"', f'"s1", "extra": {{"{text}": 1}}')
+        with pytest.raises(MalformedJson):
+            parse_event_line(line)
 
     def test_surrogate_pair_escape_is_valid(self):
         line = completion_line().replace('"s1"', '"\\ud83d\\ude00\\u00e9"')
@@ -709,6 +712,77 @@ def test_nesting_verdict_does_not_depend_on_the_stack(depth):
     expected = "valid" if depth <= MAX_JSON_DEPTH else "invalid JSON: nested too deeply"
     assert verdict() == expected
     assert under_frames(500, verdict) == expected
+
+
+SURROGATES = st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"])
+
+
+@st.composite
+def oracle_strings(draw, surrogate=None):
+    """A string that holds one lone surrogate (about one in six, unless
+    ``surrogate`` says) between other characters: st.text() draws no category
+    Cs, so no two surrogates of a drawn value meet to form a pair."""
+    text = draw(st.text(max_size=3))
+    if surrogate is None:
+        surrogate = draw(st.integers(0, 5)) == 0
+    if surrogate:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(SURROGATES) + text[at:]
+    return text
+
+
+ORACLE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | oracle_strings(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(oracle_strings(), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def nested_extra_fields(draw):
+    """A drawn value, wrapped in lists and objects so that it sits 1 to 70
+    levels below the event object; at most one wrapper's key holds a lone
+    surrogate, so that values near the depth cap often hold none."""
+    value = draw(ORACLE_VALUES)
+    wrappers = draw(st.integers(1, 70) | st.integers(60, 66)) - 1
+    marked = draw(st.none() | st.integers(0, wrappers))
+    for level in range(wrappers):
+        if draw(st.booleans()):
+            value = [value]
+        else:
+            value = {draw(oracle_strings(surrogate=level == marked)): value}
+    return value
+
+
+def oracle_accepts(value, depth) -> bool:
+    """Nested at most MAX_JSON_DEPTH levels, with no lone surrogate in any
+    string or key; ``depth`` is the level ``value`` sits at."""
+    if type(value) is str:
+        return not any("\ud800" <= char <= "\udfff" for char in value)
+    if type(value) is list:
+        return depth <= MAX_JSON_DEPTH and all(oracle_accepts(v, depth + 1) for v in value)
+    if type(value) is dict:
+        return depth <= MAX_JSON_DEPTH and all(
+            oracle_accepts(key, depth + 1) and oracle_accepts(v, depth + 1)
+            for key, v in value.items()
+        )
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(nested_extra_fields(), st.booleans())
+def test_json_path_refuses_what_a_recursive_oracle_refuses(extra, ensure_ascii):
+    """An extra field may hold any JSON value nested up to the cap, counting
+    the event object, and no string or key with a lone surrogate, raw or escaped."""
+    obj = {**json.loads(completion_line()), "extra": extra}
+    line = json.dumps(obj, ensure_ascii=ensure_ascii) + "\n"
+    try:
+        parse_event_line(line)
+        accepted = True
+    except MalformedJson:
+        accepted = False
+    assert accepted == oracle_accepts(extra, 2)
 
 
 def test_read_events_counts_invalid_utf8_lines_as_malformed(tmp_path):
