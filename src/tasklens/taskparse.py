@@ -21,6 +21,15 @@ snapshot that grows its list costs the lines it changed, not all its lines.
 Any text the cut cannot vouch for goes through the whole-document parse,
 which stays the only source of errors.
 
+Most items and suggestions are one task in a common block shape: ``key:
+value`` rows at one column, a bare key opening one nested block of options or
+of list entries, and one-line scalars that resolve to strings, bools or null.
+With a memo, ``_read_task`` builds such a task straight from its rows, first
+for each item of the cut and then for a text the cut leaves whole.  It gives
+the task the YAML path gives and refuses every other text, which then takes
+the YAML path; so that path alone decides what does not parse.  Without a
+memo ``parse_tasks`` is the YAML path alone.
+
 Values, a config file's included, are built by one function: the builder
 ``composed`` hands out with a text's nodes.  It first refuses a hostile value
 when the text may hold one, then walks the nodes: it makes strings, lists and
@@ -73,7 +82,7 @@ DEFAULT_DIRECTIVE_KEYS: tuple[str, ...] = (
     "failed_when",
 )
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_SEGMENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 RAW_PARAMS_KEY = "_raw_params"
 
@@ -114,7 +123,7 @@ class ModuleName:
 def parse_module_name(key: str) -> ModuleName:
     """Split a module key on dots; only short (1) and FQCN (3) forms are valid."""
     segments = tuple(key.split("."))
-    if len(segments) not in (1, 3) or not all(_SEGMENT_RE.match(s) for s in segments):
+    if len(segments) not in (1, 3) or not all(_SEGMENT_RE.fullmatch(s) for s in segments):
         raise BadModuleKey(f"not a short or fully qualified module key: {key!r}")
     return ModuleName(segments)
 
@@ -215,6 +224,9 @@ def parse_tasks(
         tasks = _parse_by_item(text, directives, memo)
         if tasks is not None:
             return tasks
+        task = _read_task(text, directives)
+        if task is not None:
+            return [task]
     with composed(text) as (root, build):
         if root is None or (
             isinstance(root, yaml.ScalarNode) and root.tag == "tag:yaml.org,2002:null"
@@ -532,6 +544,9 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
     An item with a ``tasks`` key is refused: in a top-level list it could
     make the whole list read as plays.
     """
+    task = _read_task(item, directives)
+    if task is not None:
+        return task
     try:
         with composed(item) as (root, build):
             if not isinstance(root, yaml.SequenceNode) or len(root.value) != 1:
@@ -542,6 +557,154 @@ def _parse_item(item: str, directives: frozenset[str]) -> AnsibleTask | None:
             return _task_from_node(node, build, item.splitlines(), directives)
     except TaskParseError:
         return None
+
+
+# The block shape _read_task reads, one row per line.  No class below admits a
+# character below U+00A0 that YAML does not print, a tab, or a line break that
+# YAML reads and a "\n" split does not ("\r", "\x85").  A class of wider
+# characters takes up to a millisecond to compile, so the rest of what YAML
+# does not print, or reads as a line break or a BOM, is searched for apart and
+# only in a text that is not ASCII: re's cache compiles it when one comes.
+_UNREADABLE = r"\x00-\x1f\x7f-\x9f"
+_WIDE_UNREADABLE = r"[\u2028\u2029\ud800-\udfff\ufeff\ufffe\uffff]"
+# What may not start a plain scalar here.  YAML lets "-", "?" and ":" start
+# one when a non-space follows; the reader leaves those to the loaders.
+_INDICATORS = r"""\-?:,\[\]{}#&*!|>'"%@`"""
+# A plain scalar on one line: no ": ", " #" or final ":", no trailing space.
+# Each run of spaces or colons must be followed by a run of other characters,
+# so a line splits into the runs one way only, and a refused line costs a
+# backtrack linear in its length.
+_PLAIN = (rf"[^ {_UNREADABLE}{_INDICATORS}][^ :{_UNREADABLE}]*"
+          rf"(?:(?: +(?=[^ #]):*|:+)[^ :{_UNREADABLE}]+)*")
+# A flow list's item holds no ":" or "?", on which the two loaders differ.
+_FLOW_ITEM = (rf"[^ {_UNREADABLE}{_INDICATORS}][^ ,:?\[\]{{}}{_UNREADABLE}]*"
+              rf"(?: +(?=[^ #])[^ ,:?\[\]{{}}{_UNREADABLE}]+)*")
+_VALUE = rf"'[^'{_UNREADABLE}]*'|\[ *(?:{_FLOW_ITEM}(?: *, *{_FLOW_ITEM})*)? *\]|{_PLAIN}"
+# Groups: indent, dash, key, value; a row of spaces or a lone dash matches with
+# neither key nor value.  The key stays far below the 1,024 characters past
+# which PyYAML refuses one.
+_BLOCK_ROW = re.compile(
+    rf"( *)(- )?(?:([A-Za-z_][A-Za-z0-9_.-]{{0,127}}):(?: (?=[^ ])|\Z))?({_VALUE})?"
+)
+# The implicit tags of plain scalars by first character: both loaders' table.
+_IMPLICIT_TAGS = yaml.resolver.Resolver.yaml_implicit_resolvers
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+_NULL_TAG = "tag:yaml.org,2002:null"
+
+
+class _Refused(Exception):
+    """A text that _read_task leaves to the YAML path."""
+
+
+def _tag(text: str) -> str:
+    """The tag PyYAML's resolver gives a non-empty plain scalar."""
+    for tag, pattern in _IMPLICIT_TAGS.get(text[0], ()):
+        if pattern.match(text):
+            return tag
+    return _STR_TAG
+
+
+def _plain(text: str) -> Any:
+    """A plain scalar's value: a string, a bool or None, by PyYAML's own
+    resolver and constructor; any other type is refused."""
+    tag = _tag(text)
+    if tag == _STR_TAG:
+        return text
+    if tag == _BOOL_TAG:
+        return yaml.constructor.SafeConstructor.bool_values[text.lower()]
+    if tag == _NULL_TAG:
+        return None
+    raise _Refused
+
+
+def _scalar(text: str) -> Any:
+    """The value of a _VALUE match."""
+    if text[0] == "'":
+        return text[1:-1]
+    if text[0] == "[":
+        inner = text[1:-1]
+        return [_plain(item.strip(" ")) for item in inner.split(",")] if inner.strip(" ") else []
+    return _plain(text)
+
+
+def _key(text: str, seen) -> str:
+    """A key that resolves to a string and is new in its mapping."""
+    if text in seen or _tag(text) != _STR_TAG:
+        raise _Refused
+    return text
+
+
+def _read_task(text: str, directives: frozenset[str]) -> AnsibleTask | None:
+    """The task the YAML path gives ``text``, when ``text`` is one task in the
+    common block shape; None for any other text.
+
+    The shape: a list item at any column, or a mapping at column 0, whose
+    ``key: value`` rows sit at one column.  A bare ``key:`` may open a block
+    one level deeper of ``key: value`` rows or of ``- value`` rows, all at one
+    column.  A value is a one-line plain scalar that resolves to a string, a
+    bool or null, a single-quoted scalar without ``''``, or a one-line flow
+    list of such plain scalars.  Blank lines may fall anywhere.  A duplicate
+    key and a ``tasks`` key are refused, as is a ``name`` with a block.
+    """
+    if not text.isascii() and re.search(_WIDE_UNREADABLE, text):
+        return None
+    lines = text.split("\n")
+    first = _BLOCK_ROW.fullmatch(lines[0])
+    if first is None or first[3] is None or (first[2] is None and first[1]):
+        return None
+    column = first.start(3)
+    entries: list[list] = []  # [key, value, name_span] of each task-level key
+    keys: set[str] = set()
+    block: list | dict | None = None  # the block a bare key opened, once it has a row
+    block_column = 0
+    bare = False  # whether the last task-level key is bare
+    try:
+        for row, line in enumerate(lines):
+            if not line:
+                continue
+            match = _BLOCK_ROW.fullmatch(line) if row else first
+            if match is None:
+                return None
+            indent, dash, key, value = match.groups()
+            if key is None and value is None:
+                return None
+            at = len(indent) if row else column
+            if at == column and key is not None and (row == 0 or dash is None):
+                if key == "tasks":
+                    return None
+                keys.add(_key(key, keys))
+                entries.append([key, None if value is None else _scalar(value), (row, row + 1)])
+                bare, block = value is None, None
+                continue
+            if at <= column or not bare or entries[-1][0] == "name":
+                return None
+            if block is None:
+                block_column = at
+                block = entries[-1][1] = [] if dash else {}
+            if at != block_column:
+                return None
+            if isinstance(block, list):
+                if dash is None or key is not None:
+                    return None
+                block.append(_scalar(value))
+            elif dash is None and key is not None:
+                block[_key(key, block)] = None if value is None else _scalar(value)
+            else:
+                return None
+    except _Refused:
+        return None
+    raw = [line[column:] for line in lines]
+    while raw and not raw[-1]:
+        raw.pop()
+    try:
+        return _task_of(entries, _as_built, raw, directives)
+    except TaskParseError:
+        return None
+
+
+def _as_built(value: Any) -> Any:
+    """The value of a row, which _read_task builds as it reads."""
+    return value
 
 
 def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
@@ -627,32 +790,45 @@ def _task_from_node(node, build, text_lines: list[str], directives: frozenset[st
     while raw and not raw[-1].strip():
         raw.pop()
 
+    def entries():
+        for key_node, value_node in node.value:
+            if not isinstance(key_node, yaml.ScalarNode):
+                raise NotATaskShape("task keys must be scalars")
+            name_span = None
+            if key_node.value == "name":
+                lo = key_node.start_mark.line - start
+                _, hi_end = _node_line_span(value_node, text_lines)
+                name_span = (lo, max(hi_end - start, lo + 1))
+            yield key_node.value, value_node, name_span
+
+    return _task_of(entries(), build, raw, directives)
+
+
+def _task_of(entries, build, raw: list[str], directives: frozenset[str]) -> AnsibleTask:
+    """The task whose keys are ``entries``, in order: (key, value, name_span)
+    each, where ``build(value)`` makes the key's value and ``name_span`` is
+    read for the ``name`` key alone.  Values are built one key at a time, so
+    the first fault in the text is the one raised."""
     name: str | None = None
     name_span: tuple[int, int] | None = None
     module: ModuleName | None = None
     options: dict[str, Any] = {}
     directive_map: dict[str, Any] = {}
 
-    for key_node, value_node in node.value:
-        if not isinstance(key_node, yaml.ScalarNode):
-            raise NotATaskShape("task keys must be scalars")
-        key = key_node.value
-
+    for key, value, span in entries:
         if key == "name":
-            value = build(value_node)
+            value = build(value)
             name = "" if value is None else str(value)
-            lo = key_node.start_mark.line - start
-            _, hi_end = _node_line_span(value_node, text_lines)
-            name_span = (lo, max(hi_end - start, lo + 1))
+            name_span = span
             continue
         if key in directives:
             stored = "tags" if key == "tag" else key
-            directive_map[stored] = build(value_node)
+            directive_map[stored] = build(value)
             continue
         if module is not None:
             raise NotATaskShape(f"second module key {key!r} next to {module}")
         module = parse_module_name(key)
-        body = build(value_node)
+        body = build(value)
         if body is None:
             options = {}
         elif isinstance(body, dict):

@@ -17,7 +17,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +31,7 @@ NAMES = (
     "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
     "unclosed_config", "plain_formfeed_config", "last_day_event", "last_day_window",
     "millennia_window", "huge_int_line", "escaped_canonical_lines", "raw_cr_line",
-    "json_path_lines",
+    "json_path_lines", "newline_module_key", "reader_edges",
 )
 
 
@@ -42,6 +42,7 @@ class Case:
     data_quality: dict[str, int]  # counts the report must show; empty on an error exit
     seconds: float | None = None  # a wall-time bound, where the input's hazard is its cost
     error: str = ""  # what stderr must say on an error exit
+    acceptance: dict[str, int] = field(default_factory=dict)  # counts of the report's acceptance
 
 
 def _event(index: int, stamp: str, kind: str, **fields) -> str:
@@ -75,6 +76,44 @@ def alias_chain(levels: int) -> str:
     """A flow list whose level i holds level i - 1 twice, through aliases."""
     links = ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, levels)]
     return "[" + ", ".join(links) + "]"
+
+
+# Task bodies on the boundary of the block shape that taskparse reads without
+# the YAML loader: values it reads (a bool, a null, a flow list) and texts it
+# leaves to the loaders (other types, a quoted quote, a comment, ": " inside a
+# value, a list at its key's column, a two-line scalar, a duplicate option and
+# a "tasks" key).
+READER_EDGES = [
+    "debug:\n  msg: on", "debug:\n  msg: ~", "debug:\n  msg: 0644", "debug:\n  msg: 1:20",
+    "debug:\n  msg: 2024-01-01", "debug:\n  msg: 'it''s'", "debug:\n  msg: hi # c",
+    "debug:\n  msg: a: b", "debug:\n  msg: [a,b]", "debug:\n  msg: x\nloop:\n- a\n- b",
+    "debug:\n  msg: first\n    second", "debug:\n  msg: a\n  msg: b", "tasks: x",
+]
+
+
+def reader_edges_log() -> str:
+    """Each edge body is shown as a suggestion, then saved in a play's task
+    list next to a plain task shown just before the snapshot, so the snapshot
+    is read even when the suggestion does not parse."""
+    lines = [_event(0, "2023-05-31T08:00:00+00:00", "completion",
+                    suggestion_id="warm", prompt="- name: warm", context="")]
+    stamp = iter(f"2023-06-01T08:{i // 60:02d}:{i % 60:02d}+00:00" for i in range(1000))
+    for i, body in enumerate(READER_EDGES):
+        for sid, text in ((f"e{i}", body), (f"p{i}", f"debug:\n  msg: plain {i}")):
+            lines += [
+                _event(len(lines), next(stamp), "completion", suggestion_id=sid,
+                       prompt=f"- name: {sid}", context=""),
+                _event(len(lines) + 1, next(stamp), "suggestion", suggestion_id=sid, text=text,
+                       lines=len(text.splitlines()), tokens=5),
+                _event(len(lines) + 2, next(stamp), "action", suggestion_id=sid, action="accepted"),
+            ]
+        items = [f"- name: e{i}\n" + "".join(f"  {line}\n" for line in body.split("\n")),
+                 f"- name: p{i}\n  debug:\n    msg: plain {i}\n"]
+        play = "- hosts: all\n  tasks:\n" + "".join(
+            "".join(f"    {line}\n" for line in item.splitlines()) for item in items)
+        lines.append(_event(len(lines), next(stamp), "content", suggestion_id=f"p{i}",
+                            document=play))
+    return "\n".join(lines) + "\n"
 
 
 def write_cases(directory: Path) -> dict[str, Case]:
@@ -176,6 +215,9 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "escaped_canonical_lines.jsonl": escaped_lines,
         "raw_cr_line.jsonl": _accepted(task, task) + raw_cr + "\n",
         "json_path_lines.jsonl": json_path,
+        # A module key that ends in a line break is not a module key.
+        "newline_module_key.jsonl": _accepted('- name: a\n  "copy\\n":\n    src: y\n', copy),
+        "reader_edges.jsonl": reader_edges_log(),
         "millennia_window.jsonl": "".join(
             _event(i, stamp, "completion", suggestion_id=f"s{i}", prompt="- name: a", context="")
             + "\n"
@@ -253,6 +295,15 @@ def write_cases(directory: Path) -> dict[str, Case]:
             events("json_path_lines"), 0,
             {"malformed_lines": 3, "duplicates_removed": 0, "orphan_actions": 0,
              "unresolved_outcomes": 0, "unparseable_suggestions": 0, "unparseable_documents": 0},
+        ),
+        "newline_module_key": Case(events("newline_module_key"), 0, {"unparseable_suggestions": 1}),
+        # The suggestions with ": " inside a value and with a "tasks" key do not
+        # parse, nor does the snapshot with ": " inside a value.
+        "reader_edges": Case(
+            events("reader_edges"), 0,
+            {"unparseable_suggestions": 2, "unparseable_documents": 1, "unresolved_outcomes": 1},
+            acceptance={"total_suggestions": 24, "fully_accepted": 23, "minor_edits": 0,
+                        "major_edits": 0, "unresolved": 1},
         ),
     }
 

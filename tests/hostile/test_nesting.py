@@ -26,7 +26,8 @@ def test_report_survives(cases, name):
         assert time.perf_counter() - start < case.seconds
     assert result.returncode == case.exit_code, result.stderr.decode(errors="replace")[-2000:]
     if case.exit_code == 0:
-        quality = json.loads(result.stdout)["data_quality"]
-        assert {key: quality[key] for key in case.data_quality} == case.data_quality
+        report = json.loads(result.stdout)
+        for section, counts in (("data_quality", case.data_quality), ("acceptance", case.acceptance)):
+            assert {key: report[section][key] for key in counts} == counts
     else:
         assert case.error.encode() in result.stderr

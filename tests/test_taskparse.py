@@ -173,7 +173,11 @@ class TestModuleName:
     def test_short(self):
         assert parse_module_name("debug").segments == ("debug",)
 
-    @pytest.mark.parametrize("bad", ["a.b", "a.b.c.d", "", "has space", "a..b"])
+    @pytest.mark.parametrize(
+        "bad",
+        # A segment ends at the end of the key, not before a final line break.
+        ["a.b", "a.b.c.d", "", "has space", "a..b", "copy\n", "a.b.copy\n", "a.b\n.copy"],
+    )
     def test_invalid_keys(self, bad):
         with pytest.raises(BadModuleKey):
             parse_module_name(bad)
