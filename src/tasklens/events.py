@@ -501,20 +501,9 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
 
 
 _TIME_ORDER = attrgetter("instant", "event_id")
-
-
-def _by_user(events: Iterable[RawEvent]) -> list[tuple[str, list[RawEvent]]]:
-    """Events grouped per user in user_id order, each group sorted by
-    (instant, event_id); ties keep their input order.  Sorted input costs
-    one linear pass."""
-    per_user: dict[str, list[RawEvent]] = {}
-    for event in events:
-        per_user.setdefault(event.user_id, []).append(event)
-    return [(user_id, sorted(per_user[user_id], key=_TIME_ORDER)) for user_id in sorted(per_user)]
-
-
-# The fields each class adds to RawEvent, event_id not among them.
-_CONTENT = {cls: attrgetter(*cls.__slots__) for cls in _CLASS_BY_TYPE.values()}
+# The dedup key of each class: the class, then the fields it adds to RawEvent,
+# event_id not among them.
+_CONTENT = {cls: attrgetter("__class__", *cls.__slots__) for cls in _CLASS_BY_TYPE.values()}
 
 
 def deduplicate(
@@ -522,20 +511,21 @@ def deduplicate(
 ) -> list[RawEvent]:
     """Drop repeats of the same (user, kind, content) within the retry window.
 
-    An event is a duplicate when an already-kept event of the same user and
-    class, with equal values in every field the class adds to RawEvent, lies
-    at most ``window_seconds`` before it; the earliest of each burst survives.
-    Output is sorted by (user_id, instant, event_id); ties keep their input
-    order.
+    Events are grouped per user in user_id order, and each group is sorted
+    by (instant, event_id); ties keep their input order, and sorted input
+    costs one linear pass.  An event is a duplicate when an already-kept
+    event of the same user with the same key (its class and its values of
+    every field the class adds to RawEvent) lies at most ``window_seconds``
+    before it; the earliest of each burst survives.  The output keeps the
+    order (user_id, instant, event_id).
     """
+    per_user: dict[str, list[RawEvent]] = {}
+    for event in events:
+        per_user.setdefault(event.user_id, []).append(event)
     kept: list[RawEvent] = []
-    for _, user_events in _by_user(events):
-        # Keyed on the content alone: no two classes' content tuples can be
-        # equal.  Arity 4 is a suggestion's only; a completion's starts with a
-        # str where a feedback's starts with an int; an action's ends with a
-        # UserAction where a content event's ends with a str or None.
+    for user_id in sorted(per_user):
         last_kept_at: dict[tuple, float] = {}
-        for event in user_events:
+        for event in sorted(per_user[user_id], key=_TIME_ORDER):
             key = _CONTENT[type(event)](event)
             previous = last_kept_at.get(key)
             if previous is not None and event.instant - previous <= window_seconds:

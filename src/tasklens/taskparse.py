@@ -693,11 +693,8 @@ def _read_task(text: str, directives: frozenset[str]) -> AnsibleTask | None:
                 return None
     except _Refused:
         return None
-    raw = [line[column:] for line in lines]
-    while raw and not raw[-1]:
-        raw.pop()
     try:
-        return _task_of(entries, _as_built, raw, directives)
+        return _task_of(entries, _as_built, [line[column:] for line in lines], directives)
     except TaskParseError:
         return None
 
@@ -787,8 +784,6 @@ def _task_from_node(node, build, text_lines: list[str], directives: frozenset[st
     """The task of a mapping node; each caller has checked that it is one."""
     start, end = _node_line_span(node, text_lines)
     raw = _dedent_task_lines(text_lines[start:end], node.start_mark.column)
-    while raw and not raw[-1].strip():
-        raw.pop()
 
     def entries():
         for key_node, value_node in node.value:
@@ -808,7 +803,10 @@ def _task_of(entries, build, raw: list[str], directives: frozenset[str]) -> Ansi
     """The task whose keys are ``entries``, in order: (key, value, name_span)
     each, where ``build(value)`` makes the key's value and ``name_span`` is
     read for the ``name`` key alone.  Values are built one key at a time, so
-    the first fault in the text is the one raised."""
+    the first fault in the text is the one raised.  ``raw`` holds the task's
+    dedented lines; its trailing blank lines are trimmed off here."""
+    while raw and not raw[-1].strip():
+        raw.pop()
     name: str | None = None
     name_span: tuple[int, int] | None = None
     module: ModuleName | None = None

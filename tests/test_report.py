@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -153,6 +154,36 @@ class TestDeterminism:
         first = render_report(run_pipeline([small_log], Config()), "json")
         second = render_report(run_pipeline([small_log], Config()), "json")
         assert first == second
+
+    def test_report_does_not_depend_on_line_order_or_layout(self, tmp_path, capsys):
+        lines = small_log_lines()
+        # Lines that share user_id, ts and event_id keep their input order by
+        # contract, so the log must hold no such tie.
+        ties = {(e["user_id"], e["ts"], e["event_id"]) for e in map(json.loads, lines)}
+        assert len(ties) == len(lines)
+
+        def report(name: str, *files: str, newline: str = "\n") -> str:
+            paths = []
+            for index, text in enumerate(files):
+                path = tmp_path / f"{name}{index}.jsonl"
+                path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+                paths.append(str(path))
+            assert main(["report", "--format", "json", "--events", *paths]) == 0
+            return capsys.readouterr().out
+
+        def log(some: list[str]) -> str:
+            return "".join(line + "\n" for line in some)
+
+        expected = report("plain", log(lines))
+        shuffled = list(lines)
+        random.Random(7).shuffle(shuffled)
+        third = len(lines) // 3
+        assert report("shuffled", log(shuffled)) == expected
+        assert report("reversed", log(lines[::-1])) == expected
+        assert report("split", log(lines[:third]), log(lines[third:2 * third]),
+                      log(lines[2 * third:])) == expected
+        assert report("blank", "\n\n".join(lines) + "\n \n") == expected
+        assert report("crlf", log(lines), newline="\r\n") == expected
 
 
 class TestRendering:
