@@ -7,8 +7,8 @@ means "all defaults", so a bare `tasklens analyze` needs no setup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .events import DEDUP_WINDOW_SECONDS
 from .taskparse import DEFAULT_DIRECTIVE_KEYS, TaskParseError, composed
@@ -26,8 +26,7 @@ class BadConfig(ValueError):
 MAX_RETENTION_HORIZON = 36_500
 
 
-@dataclass(frozen=True)
-class Config:
+class _Settings(NamedTuple):
     directive_keys: tuple[str, ...] = DEFAULT_DIRECTIVE_KEYS
     similar_modules: tuple[frozenset[str], ...] = ()
     dedup_window_seconds: float = DEDUP_WINDOW_SECONDS
@@ -35,7 +34,18 @@ class Config:
     rename_match_floor: float = 0.3
     retention_horizon: int = 30
 
-    def __post_init__(self):
+
+class Config(_Settings):
+    """The analysis settings; every way of building one checks them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the builder of _replace
+        return cls(*iterable)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.minor_major_threshold < 1.0:
             raise BadConfig("minor_major_threshold", "must be strictly between 0 and 1")
         if not 0.0 <= self.rename_match_floor <= 1.0:
@@ -44,9 +54,10 @@ class Config:
             raise BadConfig("dedup_window_seconds", "must be non-negative")
         if not 1 <= self.retention_horizon <= MAX_RETENTION_HORIZON:
             raise BadConfig("retention_horizon", f"must be from 1 to {MAX_RETENTION_HORIZON} days")
+        return self
 
 
-_KNOWN_KEYS = frozenset(f.name for f in fields(Config))
+_KNOWN_KEYS = frozenset(Config._fields)
 
 
 def load_config(path: str | Path | None) -> Config:

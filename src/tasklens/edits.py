@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .config import Config
 from .events import (
@@ -38,6 +38,8 @@ class Category(Enum):
     REJECTED = "rejected"
     IGNORED = "ignored"
 
+    __hash__ = object.__hash__  # see events.UserAction
+
 
 class MinorSubcategory(Enum):
     VALUE_ONLY = "value_only"
@@ -47,6 +49,8 @@ class MinorSubcategory(Enum):
     OPTION_REMOVED = "option_removed"
     MIXED = "mixed"
 
+    __hash__ = object.__hash__  # see events.UserAction
+
 
 class ModuleEditTag(Enum):
     FQCN_SHORTENED = "fqcn_shortened"
@@ -55,27 +59,67 @@ class ModuleEditTag(Enum):
     SIMILAR_MODULE = "similar_module"
     OTHER = "other"
 
+    __hash__ = object.__hash__  # see events.UserAction
 
-@dataclass(slots=True)
+
 class SuggestionOutcome:
+    """One suggestion, its decision, and the verdict on its committed form.
+
+    Built by pair_outcomes with the fields up to ``committed_doc``; the
+    verdict fields after it keep their defaults until classify_outcome fills
+    them in place.
+    """
+
+    __slots__ = (
+        "suggestion_id", "user_id", "shown_task", "decision", "suggestion_lines",
+        "suggestion_tokens", "committed_doc", "committed_task", "edit_fraction", "category",
+        "module_changed", "minor_subcategory", "module_edit_tags", "doc_unparseable",
+    )
+
     suggestion_id: str
     user_id: str
     shown_task: AnsibleTask
     decision: UserAction
     suggestion_lines: int
     suggestion_tokens: int
-    committed_doc: str | None = None
-    committed_task: AnsibleTask | None = None
-    edit_fraction: float | None = None
-    category: Category | None = None
-    module_changed: bool = False
-    minor_subcategory: MinorSubcategory | None = None
-    module_edit_tags: frozenset[ModuleEditTag] = frozenset()
-    doc_unparseable: bool = False
+    committed_doc: str | None
+    committed_task: AnsibleTask | None
+    edit_fraction: float | None
+    category: Category | None
+    module_changed: bool
+    minor_subcategory: MinorSubcategory | None
+    module_edit_tags: frozenset[ModuleEditTag]
+    doc_unparseable: bool
+
+    def __init__(
+        self, suggestion_id, user_id, shown_task, decision, suggestion_lines, suggestion_tokens,
+        committed_doc=None, committed_task=None, edit_fraction=None, category=None,
+        module_changed=False, minor_subcategory=None, module_edit_tags=frozenset(),
+        doc_unparseable=False,
+    ):
+        self.suggestion_id = suggestion_id
+        self.user_id = user_id
+        self.shown_task = shown_task
+        self.decision = decision
+        self.suggestion_lines = suggestion_lines
+        self.suggestion_tokens = suggestion_tokens
+        self.committed_doc = committed_doc
+        self.committed_task = committed_task
+        self.edit_fraction = edit_fraction
+        self.category = category
+        self.module_changed = module_changed
+        self.minor_subcategory = minor_subcategory
+        self.module_edit_tags = module_edit_tags
+        self.doc_unparseable = doc_unparseable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        slots = self.__slots__
+        return [getattr(self, s) for s in slots] == [getattr(other, s) for s in slots]
 
 
-@dataclass
-class PairingResult:
+class PairingResult(NamedTuple):
     outcomes: list[SuggestionOutcome]
     orphan_actions: int
     unparseable_suggestions: int
@@ -384,5 +428,4 @@ def module_edit_tags(
 def analyze_timeline(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     """pair + classify for one user; the result holds the classified outcomes."""
     paired = pair_outcomes(timeline, cache)
-    paired.outcomes = [classify_outcome(o, cache) for o in paired.outcomes]
-    return paired
+    return paired._replace(outcomes=[classify_outcome(o, cache) for o in paired.outcomes])

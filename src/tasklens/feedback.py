@@ -7,22 +7,19 @@ comments belong to neither distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .events import FeedbackEvent, RawEvent
 
 
-@dataclass(frozen=True)
-class LabelDistribution:
+class LabelDistribution(NamedTuple):
     counts: dict[str, int]
     shares: dict[str, float]
     labeled: int
     unlabeled: int
 
 
-@dataclass(frozen=True)
-class FeedbackSummary:
+class FeedbackSummary(NamedTuple):
     total: int
     star_histogram: dict[int, int]
     satisfied_share: float

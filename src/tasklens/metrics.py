@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome
 from .events import CompletionEvent, RawEvent, UserTimeline
@@ -17,8 +16,7 @@ class EmptyWindow(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AcceptanceSummary:
+class AcceptanceSummary(NamedTuple):
     total_suggestions: int
     initially_accepted: int
     fully_accepted: int
@@ -105,16 +103,14 @@ def returning_user_cohort(timelines: Iterable[UserTimeline]) -> set[str]:
     return {t.user_id for t in timelines if len(t.active_days) >= 2}
 
 
-@dataclass(frozen=True)
-class RetentionPoint:
+class RetentionPoint(NamedTuple):
     day: int
     eligible_users: int
     returned_users: int
     percentage: float
 
 
-@dataclass(frozen=True)
-class RetentionCurve:
+class RetentionCurve(NamedTuple):
     window_end: date
     points: tuple[RetentionPoint, ...]
 
@@ -151,8 +147,7 @@ def retention_curve(
     return RetentionCurve(window_end=window_end, points=points)
 
 
-@dataclass(frozen=True)
-class TemporalProfile:
+class TemporalProfile(NamedTuple):
     daily_counts: dict[date, int]
     weekday_means: dict[str, float]
 

@@ -10,13 +10,11 @@ always alongside so no precision is lost.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import Config
 from .edits import TaskCache, analyze_timeline
@@ -43,8 +41,7 @@ class UnknownFormat(ValueError):
     pass
 
 
-@dataclass
-class DataQuality:
+class DataQuality(NamedTuple):
     malformed_lines: int
     duplicates_removed: int
     orphan_actions: int
@@ -53,8 +50,7 @@ class DataQuality:
     unparseable_documents: int
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     window: tuple[date, date]
     total_users: int
     returning_users: int
@@ -204,7 +200,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
             "deduplicated": _temporal_dict(report.temporal_dedup),
         },
         "feedback": _feedback_dict(report.feedback),
-        "data_quality": asdict(report.data_quality),
+        "data_quality": report.data_quality._asdict(),
     }
 
 
@@ -251,6 +247,8 @@ def render_report(report: AnalysisReport, fmt: str) -> dict[str, bytes]:
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    import csv  # here, so that JSON and table runs do not pay for the import
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

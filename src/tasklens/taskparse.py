@@ -45,10 +45,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 import yaml
 
@@ -110,8 +109,7 @@ class BadYamlValue(TaskParseError):
     """Valid YAML whose values cannot be built (a recursive alias, an unsafe tag)."""
 
 
-@dataclass(frozen=True, slots=True)
-class ModuleName:
+class ModuleName(NamedTuple):
     """Module identifier: one segment (short) or three (namespace.collection.module)."""
 
     segments: tuple[str, ...]
@@ -132,22 +130,38 @@ def short_name(module: ModuleName) -> str:
     return module.segments[-1]
 
 
-@dataclass(frozen=True)
 class AnsibleTask:
     """One parsed task.
 
     ``raw_lines`` are the task's source lines dedented to column zero (the
     list-item dash replaced by spaces), trailing blank lines stripped.
     ``name_span`` is the half-open raw_lines index range of the name entry,
-    when present, so diffs can exclude the user-authored name line.
+    when present, so diffs can exclude the user-authored name line.  Treat a
+    task as read-only; the ``__dict__`` slot holds the cached properties.
     """
+
+    __slots__ = ("name", "module", "options", "directives", "raw_lines", "name_span", "__dict__")
 
     name: str | None
     module: ModuleName | None
     options: dict[str, Any]
     directives: dict[str, Any]
     raw_lines: tuple[str, ...]
-    name_span: tuple[int, int] | None = None
+    name_span: tuple[int, int] | None
+
+    def __init__(self, name, module, options, directives, raw_lines, name_span=None):
+        self.name = name
+        self.module = module
+        self.options = options
+        self.directives = directives
+        self.raw_lines = raw_lines
+        self.name_span = name_span
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__[:-1]  # not __dict__, which holds the cached properties
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
     @cached_property
     def stripped_lines(self) -> list[str]:
@@ -168,7 +182,9 @@ class AnsibleTask:
         return {key: canonical(value) for key, value in self.options.items()}
 
     def with_name(self, name: str) -> "AnsibleTask":
-        return replace(self, name=name)
+        return AnsibleTask(
+            name, self.module, self.options, self.directives, self.raw_lines, self.name_span
+        )
 
 
 def canonical(value: Any) -> Any:
@@ -432,8 +448,7 @@ def _is_item_dash(text: str, index: int) -> bool:
     return text[index] == "-" and text[index + 1:index + 2] in (" ", "\n", "")
 
 
-@dataclass(frozen=True, slots=True)
-class _Cut:
+class _Cut(NamedTuple):
     """A text's task list cut into its items.
 
     ``starts`` are the offsets at which the items start, in the text as in

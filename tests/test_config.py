@@ -112,6 +112,8 @@ class TestValidation:
             Config(retention_horizon=0)
         with pytest.raises(BadConfig):
             Config(retention_horizon=MAX_RETENTION_HORIZON + 1)
+        with pytest.raises(BadConfig):
+            Config()._replace(rename_match_floor=1.5)
 
     @pytest.mark.parametrize(
         "key", ["dedup_window_seconds", "minor_major_threshold", "rename_match_floor", "retention_horizon"]

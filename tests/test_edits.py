@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import json
 import random
 import tracemalloc
@@ -16,6 +15,7 @@ from tasklens.edits import (
     Category,
     MinorSubcategory,
     ModuleEditTag,
+    SuggestionOutcome,
     TaskCache,
     analyze_timeline,
     classify_outcome,
@@ -687,7 +687,8 @@ class TestVerdictTable:
             assert cache.config is config
             (paired,) = pair_outcomes(timeline, cache).outcomes
             for _ in range(2):  # the second verdict comes from the table
-                outcome = classify_outcome(dataclasses.replace(paired), cache)
+                copy = SuggestionOutcome(*(getattr(paired, s) for s in SuggestionOutcome.__slots__))
+                outcome = classify_outcome(copy, cache)
                 assert outcome.category is expected
                 assert outcome.edit_fraction == pytest.approx(1 / 6)
                 fresh_cache = new_cache(config)

@@ -1,7 +1,8 @@
+import functools
 import gc
+import inspect
 import json
 import random
-from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -35,6 +36,15 @@ from tasklens.events import (
 )
 from tasklens.synth import edit_analysis_lines, mixed_lines, write_log
 from small_log import SMALL_MIX
+
+
+@functools.cache
+def added_fields(cls):
+    """The parameters of ``cls.__init__`` after RawEvent's: the fields the kind adds."""
+    params = tuple(inspect.signature(cls).parameters)
+    base = tuple(inspect.signature(RawEvent).parameters)
+    assert params[:len(base)] == base
+    return params[len(base):]
 
 
 def completion_line(event_id="e1", user_id="u1", ts="2023-06-01T09:00:00+02:00", **extra):
@@ -432,7 +442,7 @@ class TestDeduplicate:
     @staticmethod
     def _content(event):
         """The values of the fields the event's class adds to RawEvent."""
-        return tuple(getattr(event, f.name) for f in fields(event)[len(fields(RawEvent)):])
+        return tuple(getattr(event, name) for name in added_fields(type(event)))
 
     @classmethod
     def _oracle(cls, events, window_seconds=10.0):
@@ -654,10 +664,14 @@ def test_each_class_slots_only_its_added_fields(fields_of_kind, cls):
     """A subclass that repeated the base's slots would make every record
     larger, and the dedup key, which reads the subclass's slots, would hold
     event_id, so no two events could ever be duplicates."""
+    assert RawEvent.__slots__ == tuple(inspect.signature(RawEvent).parameters)
     assert not set(cls.__slots__) & set(RawEvent.__slots__)
-    assert cls.__slots__ == tuple(f.name for f in fields(cls)[len(fields(RawEvent)):])
+    assert cls.__slots__ == added_fields(cls)
     line = {"event_id": "e1", "user_id": "u1", "ts": "2023-06-01T09:00:00Z", **fields_of_kind}
-    assert not hasattr(parse_event_line(json.dumps(line)), "__dict__")
+    event = parse_event_line(json.dumps(line))
+    assert not hasattr(event, "__dict__")
+    for slot in RawEvent.__slots__ + cls.__slots__:  # __init__ sets every slot
+        getattr(event, slot)
 
 
 JSON_VALUES = st.recursive(

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import asdict, replace
 from datetime import date, timedelta
 from operator import attrgetter
 
@@ -174,12 +173,12 @@ class TestAcceptanceFold:
             outcomes = [self._random_outcome(rng) for _ in range(rng.randrange(60))]
             summary = acceptance_summary(iter(outcomes))  # one pass: a generator will do
             want = self._oracle(outcomes)
-            got = asdict(summary)
+            got = summary._asdict()
             assert got == want
             assert list(got["minor_breakdown"]) == list(want["minor_breakdown"])
             assert list(got["module_edit_tags"]) == list(want["module_edit_tags"])
 
-            doc = report_to_dict(replace(report, acceptance=summary))
+            doc = report_to_dict(report._replace(acceptance=summary))
             counts = {k: v["count"] for k, v in doc["accepted_breakdown"].items()}
             assert counts == {
                 "fully_accepted": want["fully_accepted"],

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,12 +24,22 @@ from tasklens.synth import (
     EditMix,
     MODULE_TAG_CONFIG_YAML,
     edit_analysis_lines,
+    module_tag_lines,
     write_log,
 )
 
 from small_log import SMALL_MIX, small_log_lines
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str, hash_seed: str = "0") -> bytes:
+    """Standard output of a fresh interpreter that imports tasklens from SRC."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, check=True, timeout=120
+    ).stdout
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +197,31 @@ class TestDeterminism:
                       log(lines[2 * third:])) == expected
         assert report("blank", "\n\n".join(lines) + "\n \n") == expected
         assert report("crlf", log(lines), newline="\r\n") == expected
+
+    def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Enum members hash by identity, and each run's member addresses and
+        string hashes differ: the module-edit tag sets, the category counts
+        and the dedup keys must give the same bytes under any hash seed."""
+        log = write_log(tmp_path / "tags.jsonl", module_tag_lines())
+        config = tmp_path / "tags.yaml"
+        config.write_text(MODULE_TAG_CONFIG_YAML)
+        argv = ("-m", "tasklens.cli", "report", "--events", str(log), "--format", "json",
+                "--config", str(config))
+        first, second = (run_python(*argv, hash_seed=seed) for seed in ("0", "7"))
+        assert first == second
+        assert json.loads(first)["module_edits"]["outcomes"] == 1710
+
+
+def test_setup_imports_no_dataclasses_inspect_or_csv():
+    """The set-up of every run, importing the CLI and loading the default
+    config, leaves out modules that only cost start-up time: records are
+    built without dataclasses (which imports inspect), and csv is imported
+    by the CSV renderer alone."""
+    loaded = run_python("-c", (
+        "import sys, tasklens.cli; tasklens.cli.load_config(None); "
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    ))
+    assert loaded == b"[]\n"
 
 
 class TestRendering:
