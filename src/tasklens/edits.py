@@ -9,7 +9,6 @@ fraction.  The user-authored name line never counts toward the diff.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from enum import Enum
 from typing import NamedTuple
@@ -21,7 +20,9 @@ from .events import (
 from .gestalt import MatchBudgetExceeded
 from .gestalt import edit_fraction as gestalt_edit_fraction
 from .gestalt import similarity_ratio
-from .taskparse import AnsibleTask, TaskMemo, TaskParseError, parse_tasks, short_name
+from .taskparse import (
+    AnsibleTask, TaskMemo, TaskParseError, name_value, parse_tasks, short_name
+)
 
 # Directive keys whose addition counts as YAML reorganization.
 REORG_DIRECTIVE_KEYS = frozenset({"block", "tags", "register", "loop", "become"})
@@ -62,18 +63,36 @@ class ModuleEditTag(Enum):
     __hash__ = object.__hash__  # see events.UserAction
 
 
+class Verdict(NamedTuple):
+    """What the committed form of a shown task says about it.  Every outcome
+    of one (shown task, snapshot) pair holds the same Verdict object."""
+
+    category: Category
+    edit_fraction: float | None = None
+    committed_task: AnsibleTask | None = None
+    module_changed: bool = False
+    minor_subcategory: MinorSubcategory | None = None
+    module_edit_tags: frozenset[ModuleEditTag] = frozenset()
+    doc_unparseable: bool = False
+
+
+# The verdicts without a committed task.
+_REJECTED = Verdict(Category.REJECTED)
+_IGNORED = Verdict(Category.IGNORED)
+_UNRESOLVED = Verdict(Category.UNRESOLVED)
+_UNPARSEABLE_DOC = Verdict(Category.UNRESOLVED, doc_unparseable=True)
+_DELETED = Verdict(Category.DELETED_AFTER_ACCEPT)
+
+
 class SuggestionOutcome:
     """One suggestion, its decision, and the verdict on its committed form.
 
-    Built by pair_outcomes with the fields up to ``committed_doc``; the
-    verdict fields after it keep their defaults until classify_outcome fills
-    them in place.
+    Built by pair_outcomes without a verdict; classify_outcome sets it in place.
     """
 
     __slots__ = (
         "suggestion_id", "user_id", "shown_task", "decision", "suggestion_lines",
-        "suggestion_tokens", "committed_doc", "committed_task", "edit_fraction", "category",
-        "module_changed", "minor_subcategory", "module_edit_tags", "doc_unparseable",
+        "suggestion_tokens", "committed_doc", "verdict",
     )
 
     suggestion_id: str
@@ -83,19 +102,11 @@ class SuggestionOutcome:
     suggestion_lines: int
     suggestion_tokens: int
     committed_doc: str | None
-    committed_task: AnsibleTask | None
-    edit_fraction: float | None
-    category: Category | None
-    module_changed: bool
-    minor_subcategory: MinorSubcategory | None
-    module_edit_tags: frozenset[ModuleEditTag]
-    doc_unparseable: bool
+    verdict: Verdict | None
 
     def __init__(
         self, suggestion_id, user_id, shown_task, decision, suggestion_lines, suggestion_tokens,
-        committed_doc=None, committed_task=None, edit_fraction=None, category=None,
-        module_changed=False, minor_subcategory=None, module_edit_tags=frozenset(),
-        doc_unparseable=False,
+        committed_doc=None, verdict=None,
     ):
         self.suggestion_id = suggestion_id
         self.user_id = user_id
@@ -104,13 +115,7 @@ class SuggestionOutcome:
         self.suggestion_lines = suggestion_lines
         self.suggestion_tokens = suggestion_tokens
         self.committed_doc = committed_doc
-        self.committed_task = committed_task
-        self.edit_fraction = edit_fraction
-        self.category = category
-        self.module_changed = module_changed
-        self.minor_subcategory = minor_subcategory
-        self.module_edit_tags = module_edit_tags
-        self.doc_unparseable = doc_unparseable
+        self.verdict = verdict
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -129,14 +134,8 @@ class TaskCache:
     """Memoizes parse_tasks per exact text; telemetry repeats texts heavily.
 
     A text that does not parse is kept as None: the cache holds results only,
-    never an error object.  It also owns the ``TaskMemo`` that parse_tasks
-    fills on each miss: the per-item memo, so a snapshot that repeats an
-    earlier snapshot's tasks parses only its new ones; the skeleton verdicts,
-    so snapshots that differ only in their tasks check the rest of the
-    document once; and the last task-list cut, so the next snapshot of the
-    same playbook rescans only the lines after what the two share.  The cut
-    resumes from whichever text was cut last, so it pays when one playbook's
-    snapshots are parsed in a row.
+    never an error object.  Each miss parses with the cache's one ``TaskMemo``
+    (see there), so the snapshots of one playbook share their work.
 
     Above the parses sit two tables: the shown task of each (suggestion text,
     prompt) pair, and the verdict on each (shown task, snapshot) pair.  Texts
@@ -148,7 +147,7 @@ class TaskCache:
         self._hits: dict[str, tuple[AnsibleTask, ...] | None] = {}
         self._memo = TaskMemo()
         self._shown: dict[tuple[str, str | None], AnsibleTask | None] = {}
-        self._verdicts: dict[tuple[int, str], tuple[AnsibleTask, tuple]] = {}
+        self._verdicts: dict[tuple[int, str], tuple[AnsibleTask, Verdict]] = {}
 
     def parse(self, text: str) -> tuple[AnsibleTask, ...] | None:
         """The tasks of ``text``, or None when it does not parse."""
@@ -181,7 +180,7 @@ class TaskCache:
         self._shown[key] = task
         return task
 
-    def verdict(self, shown: AnsibleTask, document: str) -> tuple:
+    def verdict(self, shown: AnsibleTask, document: str) -> Verdict:
         """``classify_pair(shown, self.parse(document), self.config)``, computed
         once per pair."""
         # The entry holds ``shown``, so no other task can take its id meanwhile.
@@ -196,70 +195,61 @@ class TaskCache:
 
 
 def name_from_prompt(prompt: str) -> str | None:
-    """Extract the task name from a prompt line like ``- name: Install nginx``."""
+    """The task name of a prompt line like ``- name: Install nginx``, read as
+    the committed task's name line is read (quotes and a comment dropped)."""
     stripped = prompt.strip()
     if stripped.startswith("-"):
         stripped = stripped[1:].lstrip()
     if stripped.startswith("name:"):
         stripped = stripped[len("name:"):].strip()
-    return stripped or None
+    return (name_value(stripped) or None) if stripped else None
 
 
 def pair_outcomes(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     """Pre-classification pairing of suggestions with actions and content.
 
-    Suggestions with no action are Ignored; actions whose suggestion id never
-    appears are counted as orphans.  Suggestion texts that do not parse as
-    exactly one task are dropped and counted.
+    The first action on a suggestion id decides it; an accepted one takes the
+    document of the next snapshot after that action.  Suggestions with no
+    action are Ignored; actions whose suggestion id never appears are counted
+    as orphans.  Suggestion texts that do not parse as exactly one task are
+    dropped and counted.
     """
     prompts: dict[str, str] = {}
-    actions: dict[str, tuple[UserAction, int]] = {}  # sid -> (action, event index)
-    contents: list[tuple[int, ContentEvent]] = []
+    actions: dict[str, UserAction] = {}
+    committed: dict[str, str] = {}  # accepted sid -> the next snapshot's document
+    waiting: list[str] = []  # accepted sids with no snapshot yet
     suggestions: list[SuggestionEvent] = []
-    suggestion_ids: set[str] = set()
 
-    for idx, event in enumerate(timeline.events):
+    for event in timeline.events:
         cls = type(event)
         if cls is SuggestionEvent:
             suggestions.append(event)
-            suggestion_ids.add(event.suggestion_id)
         elif cls is CompletionEvent:
             prompts.setdefault(event.suggestion_id, event.prompt)
         elif cls is ActionEvent:
-            actions.setdefault(event.suggestion_id, (event.action, idx))
-        elif cls is ContentEvent:
-            contents.append((idx, event))
+            if event.suggestion_id not in actions:
+                actions[event.suggestion_id] = event.action
+                if event.action is UserAction.ACCEPTED:
+                    waiting.append(event.suggestion_id)
+        elif cls is ContentEvent and waiting:
+            for sid in waiting:
+                committed[sid] = event.document_text
+            waiting.clear()
 
+    suggestion_ids = {event.suggestion_id for event in suggestions}
     orphan_actions = sum(1 for sid in actions if sid not in suggestion_ids)
-    content_indices = [idx for idx, _ in contents]
-
     outcomes: list[SuggestionOutcome] = []
     unparseable = 0
     for event in suggestions:
-        shown = cache.shown_task(event.suggestion_text, prompts.get(event.suggestion_id))
+        sid = event.suggestion_id
+        shown = cache.shown_task(event.suggestion_text, prompts.get(sid))
         if shown is None:
             unparseable += 1
             continue
-
-        action_entry = actions.get(event.suggestion_id)
-        decision = action_entry[0] if action_entry else UserAction.IGNORED
-        committed_doc = None
-        if decision is UserAction.ACCEPTED:
-            pos = bisect_left(content_indices, action_entry[1])
-            if pos < len(contents):
-                committed_doc = contents[pos][1].document_text
-
-        outcomes.append(
-            SuggestionOutcome(
-                suggestion_id=event.suggestion_id,
-                user_id=timeline.user_id,
-                shown_task=shown,
-                decision=decision,
-                suggestion_lines=event.line_count,
-                suggestion_tokens=event.token_count,
-                committed_doc=committed_doc,
-            )
-        )
+        outcomes.append(SuggestionOutcome(
+            sid, timeline.user_id, shown, actions.get(sid, UserAction.IGNORED),
+            event.line_count, event.token_count, committed.get(sid),
+        ))
     return PairingResult(outcomes, orphan_actions, unparseable)
 
 
@@ -299,37 +289,23 @@ def match_committed_task(
 
 
 def classify_outcome(outcome: SuggestionOutcome, cache: TaskCache) -> SuggestionOutcome:
-    """Fill category, edit fraction, subcategory and module-edit tags in place."""
+    """Set the outcome's verdict in place."""
     if outcome.decision is UserAction.REJECTED:
-        outcome.category = Category.REJECTED
-        return outcome
-    if outcome.decision is UserAction.IGNORED:
-        outcome.category = Category.IGNORED
-        return outcome
-    if outcome.committed_doc is None:
-        outcome.category = Category.UNRESOLVED
-        return outcome
-    (
-        outcome.category, outcome.edit_fraction, outcome.committed_task, outcome.module_changed,
-        outcome.minor_subcategory, outcome.module_edit_tags, outcome.doc_unparseable,
-    ) = cache.verdict(outcome.shown_task, outcome.committed_doc)
+        outcome.verdict = _REJECTED
+    elif outcome.decision is UserAction.IGNORED:
+        outcome.verdict = _IGNORED
+    elif outcome.committed_doc is None:
+        outcome.verdict = _UNRESOLVED
+    else:
+        outcome.verdict = cache.verdict(outcome.shown_task, outcome.committed_doc)
     return outcome
-
-
-# The verdicts without a committed task.
-_UNPARSEABLE_DOC = (Category.UNRESOLVED, None, None, False, None, frozenset(), True)
-_DELETED = (Category.DELETED_AFTER_ACCEPT, None, None, False, None, frozenset(), False)
-_OVER_BUDGET = (Category.UNRESOLVED, None, None, False, None, frozenset(), False)
 
 
 def classify_pair(
     shown: AnsibleTask, doc_tasks: tuple[AnsibleTask, ...] | None, config: Config
-) -> tuple:
+) -> Verdict:
     """The verdict on an accepted task and the tasks of the snapshot after it
-    (None when the snapshot does not parse): the values of the outcome fields
-    category, edit_fraction, committed_task, module_changed,
-    minor_subcategory, module_edit_tags and doc_unparseable, in that order.
-    """
+    (None when the snapshot does not parse)."""
     if doc_tasks is None:
         return _UNPARSEABLE_DOC
     try:
@@ -344,7 +320,7 @@ def classify_pair(
         )
     except MatchBudgetExceeded:
         # A pair too large to compare within the budget has no edit fraction.
-        return _OVER_BUDGET
+        return _UNRESOLVED
     shown_short = short_name(shown.module) if shown.module else None
     committed_short = short_name(committed.module) if committed.module else None
     module_changed = shown_short != committed_short
@@ -363,7 +339,7 @@ def classify_pair(
         module_edit_tags(shown, committed, config)
         if shown.module != committed.module else frozenset()
     )
-    return (category, fraction, committed, module_changed, subcategory, tags, False)
+    return Verdict(category, fraction, committed, module_changed, subcategory, tags)
 
 
 def minor_subcategory(shown: AnsibleTask, committed: AnsibleTask) -> MinorSubcategory | None:
@@ -428,4 +404,6 @@ def module_edit_tags(
 def analyze_timeline(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     """pair + classify for one user; the result holds the classified outcomes."""
     paired = pair_outcomes(timeline, cache)
-    return paired._replace(outcomes=[classify_outcome(o, cache) for o in paired.outcomes])
+    for outcome in paired.outcomes:
+        classify_outcome(outcome, cache)
+    return paired

@@ -577,27 +577,60 @@ def deduplicate(
     """Drop repeats of the same (user, kind, content) within the retry window.
 
     Events are grouped per user in user_id order, and each group is sorted
-    by (instant, event_id); ties keep their input order, and sorted input
-    costs one linear pass.  An event is a duplicate when an already-kept
+    by (instant, event_id); events that tie on both are ordered by kind, then
+    by content, so the output does not depend on the input order.  Sorted
+    input costs one linear pass.  An event is a duplicate when an already-kept
     event of the same user with the same key (its class and its values of
     every field the class adds to RawEvent) lies at most ``window_seconds``
-    before it; the earliest of each burst survives.  The output keeps the
-    order (user_id, instant, event_id).
+    before it; the earliest of each burst survives.  The output keeps that
+    order.
     """
     per_user: dict[str, list[RawEvent]] = {}
     for event in events:
         per_user.setdefault(event.user_id, []).append(event)
     kept: list[RawEvent] = []
     for user_id in sorted(per_user):
-        last_kept_at: dict[tuple, float] = {}
-        for event in sorted(per_user[user_id], key=_TIME_ORDER):
-            key = _CONTENT[type(event)](event)
-            previous = last_kept_at.get(key)
-            if previous is not None and event.instant - previous <= window_seconds:
-                continue
-            last_kept_at[key] = event.instant
-            kept.append(event)
+        ordered = sorted(per_user[user_id], key=_TIME_ORDER)
+        start = len(kept)
+        if _keep_first(ordered, window_seconds, kept):
+            # Some events tie on (instant, event_id): redo in the full order.
+            del kept[start:]
+            _keep_first(_order_ties(ordered), window_seconds, kept)
     return kept
+
+
+def _keep_first(ordered: list[RawEvent], window_seconds: float, kept: list[RawEvent]) -> bool:
+    """Append to ``kept`` each of one user's time-ordered events that repeats
+    no kept event within the window; whether two of them tie on (instant,
+    event_id)."""
+    last_kept_at: dict[tuple, float] = {}
+    tied = False
+    at = prior = None
+    for event in ordered:
+        instant = event.instant
+        if instant == at and event.event_id == prior.event_id:
+            tied = True
+        at = instant
+        prior = event
+        key = _CONTENT[type(event)](event)
+        previous = last_kept_at.get(key)
+        if previous is not None and instant - previous <= window_seconds:
+            continue
+        last_kept_at[key] = instant
+        kept.append(event)
+    return tied
+
+
+def _order_ties(ordered: list[RawEvent]) -> list[RawEvent]:
+    """``ordered`` with each run of events that tie on (instant, event_id)
+    sorted by repr: by class name, then by field values."""
+    out: list[RawEvent] = []
+    for _, run in groupby(ordered, _TIME_ORDER):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=repr)
+        out += run
+    return out
 
 
 class UserTimeline:

@@ -54,19 +54,20 @@ def acceptance_summary(outcomes: Iterable[SuggestionOutcome]) -> AcceptanceSumma
         total += 1
         lines += outcome.suggestion_lines
         tokens += outcome.suggestion_tokens
-        categories[outcome.category] += 1
-        if outcome.category is Category.MINOR_EDIT:
-            if outcome.module_changed:
+        verdict = outcome.verdict
+        categories[verdict.category] += 1
+        if verdict.category is Category.MINOR_EDIT:
+            if verdict.module_changed:
                 minor["module_changed"] += 1
-            elif outcome.minor_subcategory is None:
+            elif verdict.minor_subcategory is None:
                 minor["unclassified"] += 1
             else:
-                minor[outcome.minor_subcategory.value] += 1
-        if outcome.module_edit_tags:
+                minor[verdict.minor_subcategory.value] += 1
+        if verdict.module_edit_tags:
             module_edited += 1
-            for tag in outcome.module_edit_tags:
+            for tag in verdict.module_edit_tags:
                 tags[tag.value] += 1
-        if outcome.doc_unparseable:
+        if verdict.doc_unparseable:
             unparseable += 1
 
     initially_accepted = total - categories[Category.REJECTED] - categories[Category.IGNORED]

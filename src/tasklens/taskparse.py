@@ -719,6 +719,28 @@ def _as_built(value: Any) -> Any:
     return value
 
 
+def name_value(text: str) -> str:
+    """The name that a task's ``name: <text>`` line gives it, or ``text``
+    itself when ``text`` does not parse.  A row in the block reader's shape
+    is read without the YAML loader, any other by ``composed``."""
+    row = _BLOCK_ROW.fullmatch("name: " + text)
+    if row and row[4] and (text.isascii() or not re.search(_WIDE_UNREADABLE, text)):
+        try:
+            return _name(_scalar(text))
+        except _Refused:
+            pass
+    try:
+        with composed(text) as (root, build):
+            return _name(None if root is None else build(root))
+    except TaskParseError:
+        return text
+
+
+def _name(value: Any) -> str:
+    """A task's name from the value of its ``name`` key."""
+    return "" if value is None else str(value)
+
+
 def _skeleton_holds(skeleton: str, column: int, first_line: int) -> bool:
     """Whether the skeleton's only task node is its placeholder."""
     try:
@@ -830,8 +852,7 @@ def _task_of(entries, build, raw: list[str], directives: frozenset[str]) -> Ansi
 
     for key, value, span in entries:
         if key == "name":
-            value = build(value)
-            name = "" if value is None else str(value)
+            name = _name(build(value))
             name_span = span
             continue
         if key in directives:

@@ -31,7 +31,7 @@ NAMES = (
     "repeated_lines", "formfeed_snapshot", "formfeed_config", "alike_keys",
     "unclosed_config", "plain_formfeed_config", "last_day_event", "last_day_window",
     "millennia_window", "huge_int_line", "escaped_canonical_lines", "raw_cr_line",
-    "json_path_lines", "newline_module_key", "reader_edges",
+    "json_path_lines", "newline_module_key", "reader_edges", "named_prompts", "tied_actions",
 )
 
 
@@ -116,6 +116,33 @@ def reader_edges_log() -> str:
     return "\n".join(lines) + "\n"
 
 
+# Prompts that quote the task's name or add a comment: the shown task takes the
+# name that the committed task's own name line gives it.
+NAMED_PROMPTS = [
+    '- name: "Install nginx"', "- name: 'Install nginx'", "- name: Install nginx  # pkg",
+]
+
+
+def named_prompts_log() -> str:
+    """An apt task accepted under each prompt; the snapshot after it keeps the
+    task of that name with shell in place of apt, a major edit."""
+    lines = [_event(0, "2023-05-31T08:00:00+00:00", "completion",
+                    suggestion_id="warm", prompt="- name: warm", context="")]
+    # A minute apart, so that no snapshot is a retry of the one before.
+    stamp = iter(f"2023-06-01T08:{i:02d}:00+00:00" for i in range(60))
+    text = "apt:\n  name: nginx\n"
+    for i, prompt in enumerate(NAMED_PROMPTS):
+        for kind, fields in (
+            ("completion", {"prompt": prompt, "context": ""}),
+            ("suggestion", {"text": text, "lines": 2, "tokens": 5}),
+            ("action", {"action": "accepted"}),
+        ):
+            lines.append(_event(len(lines), next(stamp), kind, suggestion_id=f"s{i}", **fields))
+        lines.append(_event(len(lines), next(stamp), "content",
+                            document="- name: Install nginx\n  shell: apt-get install nginx\n"))
+    return "\n".join(lines) + "\n"
+
+
 def write_cases(directory: Path) -> dict[str, Case]:
     """Write every case's files into ``directory``; the cases by name."""
     task = "- name: a\n  debug:\n    msg: hi\n"
@@ -170,6 +197,10 @@ def write_cases(directory: Path) -> dict[str, Case]:
         *reordered, feedback(8), extra(extra=nested(63)), extra(extra=nested(64)),
         extra(extra={"\udc80": 1}), "\ufeff" + extra(),
     ))
+    # An accepted and a rejected action that share user, ts and event id,
+    # the rejected one first: ties are ordered by kind, then by content.
+    accepted = _accepted(task, task).splitlines()
+    tied = [*accepted[:3], accepted[3].replace('"accepted"', '"rejected"'), *accepted[3:]]
     bad_lines = (
         feedback(8, label="bad ?").encode().replace(b"?", b"\xff\xfe") + b"\n"
         + feedback(9, label="bad \udc80").encode() + b"\n"
@@ -218,6 +249,8 @@ def write_cases(directory: Path) -> dict[str, Case]:
         # A module key that ends in a line break is not a module key.
         "newline_module_key.jsonl": _accepted('- name: a\n  "copy\\n":\n    src: y\n', copy),
         "reader_edges.jsonl": reader_edges_log(),
+        "named_prompts.jsonl": named_prompts_log(),
+        "tied_actions.jsonl": "".join(line + "\n" for line in tied),
         "millennia_window.jsonl": "".join(
             _event(i, stamp, "completion", suggestion_id=f"s{i}", prompt="- name: a", context="")
             + "\n"
@@ -304,6 +337,14 @@ def write_cases(directory: Path) -> dict[str, Case]:
             {"unparseable_suggestions": 2, "unparseable_documents": 1, "unresolved_outcomes": 1},
             acceptance={"total_suggestions": 24, "fully_accepted": 23, "minor_edits": 0,
                         "major_edits": 0, "unresolved": 1},
+        ),
+        "named_prompts": Case(
+            events("named_prompts"), 0, {"unresolved_outcomes": 0},
+            acceptance={"total_suggestions": 3, "major_edits": 3, "deleted_after_accept": 0},
+        ),
+        "tied_actions": Case(
+            events("tied_actions"), 0, {"duplicates_removed": 0},
+            acceptance={"total_suggestions": 1, "initially_accepted": 1, "fully_accepted": 1},
         ),
     }
 

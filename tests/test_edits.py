@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tasklens import edits, gestalt, taskparse
@@ -25,7 +25,7 @@ from tasklens.edits import (
     name_from_prompt,
     pair_outcomes,
 )
-from tasklens.events import UserAction, build_timelines, parse_event_line
+from tasklens.events import UserAction, build_timelines, deduplicate, parse_event_line
 from tasklens.gestalt import similarity_ratio
 from tasklens.report import render_report, run_pipeline
 from tasklens.synth import (
@@ -126,14 +126,14 @@ class TestPairOutcomes:
         assert outcome.decision is UserAction.REJECTED
         assert outcome.committed_doc is None
         classified = classify_outcome(outcome, new_cache())
-        assert classified.category is Category.REJECTED
-        assert classified.edit_fraction is None
+        assert classified.verdict.category is Category.REJECTED
+        assert classified.verdict.edit_fraction is None
 
     def test_no_action_means_ignored(self):
         timeline = timeline_from([("suggestion", suggestion_fields("s1", SHOWN))])
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.decision is UserAction.IGNORED
-        assert classify_outcome(outcome, new_cache()).category is Category.IGNORED
+        assert classify_outcome(outcome, new_cache()).verdict.category is Category.IGNORED
 
     def test_accept_without_content_is_unresolved(self):
         timeline = timeline_from(
@@ -143,7 +143,7 @@ class TestPairOutcomes:
             ]
         )
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
-        assert classify_outcome(outcome, new_cache()).category is Category.UNRESOLVED
+        assert classify_outcome(outcome, new_cache()).verdict.category is Category.UNRESOLVED
 
     def test_orphan_actions_counted(self):
         timeline = timeline_from(
@@ -187,10 +187,38 @@ class TestNameFromPrompt:
             ("  - name:   spaced   ", "spaced"),
             ("", None),
             ("- name:", None),
+            # The value is read as the committed task's name line is read.
+            ('- name: "Install nginx"', "Install nginx"),
+            ("- name: 'Install nginx'", "Install nginx"),
+            ("- name: Install nginx  # pkg", "Install nginx"),
+            ("- name: yes", "True"),
+            ("- name: 2024", "2024"),
+            ('- name: "unclosed', '"unclosed'),  # not YAML: the text as written
         ],
     )
     def test_extraction(self, prompt, expected):
         assert name_from_prompt(prompt) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab 1'\"#:-[]{},&*!|>%@`?~\\yn.0x\t\u00e9", min_size=1, max_size=8))
+    @example('"Install nginx"')
+    @example("'it''s'")
+    @example('yes')
+    @example('2024')
+    @example('~')
+    @example('x # c')
+    def test_reads_what_a_parsed_task_reads(self, value):
+        try:
+            tasks = parse(f"- name: {value}\n  debug:\n    msg: hi\n")
+        except TaskParseError:
+            return
+        if len(tasks) == 1 and value.strip():
+            assert name_from_prompt(f"- name: {value}") == (tasks[0].name or None)
+
+    def test_plain_prompt_takes_no_yaml_loader(self, monkeypatch):
+        monkeypatch.setattr(taskparse, "composed", None)
+        assert name_from_prompt("- name: Install nginx on web-01") == "Install nginx on web-01"
+        assert name_from_prompt("- name: 'quoted: value'") == "quoted: value"
 
 
 def match_task(lines, name=None):
@@ -293,56 +321,56 @@ def classify(shown_text, doc_text, name="deploy app config", config=None):
 class TestClassifyOutcome:
     def test_identical_body_fully_accepted(self):
         outcome = classify(SHOWN, doc_with("deploy app config", SHOWN))
-        assert outcome.category is Category.FULLY_ACCEPTED
-        assert outcome.edit_fraction == 0.0
-        assert not outcome.module_changed
+        assert outcome.verdict.category is Category.FULLY_ACCEPTED
+        assert outcome.verdict.edit_fraction == 0.0
+        assert not outcome.verdict.module_changed
 
     def test_one_of_six_lines_minor(self):
         doc = doc_with("deploy app config", _replace_line(SHOWN, 2, "  dest: /etc/app-v2.conf"))
         outcome = classify(SHOWN, doc)
-        assert outcome.category is Category.MINOR_EDIT
-        assert outcome.edit_fraction == pytest.approx(1 / 6)
-        assert outcome.minor_subcategory is MinorSubcategory.VALUE_ONLY
+        assert outcome.verdict.category is Category.MINOR_EDIT
+        assert outcome.verdict.edit_fraction == pytest.approx(1 / 6)
+        assert outcome.verdict.minor_subcategory is MinorSubcategory.VALUE_ONLY
 
     def test_disjoint_body_with_name_kept_is_major(self):
         other = "ansible.builtin.service:\n  enabled: true\n  daemon_reload: true\n  force: yes\n  sleep: 3\n  state: reloaded"
         outcome = classify(SHOWN, doc_with("deploy app config", other))
-        assert outcome.category is Category.MAJOR_EDIT
-        assert outcome.edit_fraction == 1.0
+        assert outcome.verdict.category is Category.MAJOR_EDIT
+        assert outcome.verdict.edit_fraction == 1.0
 
     def test_absent_task_is_deleted(self):
         outcome = classify(SHOWN, "")
-        assert outcome.category is Category.DELETED_AFTER_ACCEPT
-        assert outcome.committed_task is None
-        assert outcome.edit_fraction is None
+        assert outcome.verdict.category is Category.DELETED_AFTER_ACCEPT
+        assert outcome.verdict.committed_task is None
+        assert outcome.verdict.edit_fraction is None
 
     def test_unparseable_document_is_unresolved(self):
         outcome = classify(SHOWN, "key: [unclosed")
-        assert outcome.category is Category.UNRESOLVED
-        assert outcome.doc_unparseable
+        assert outcome.verdict.category is Category.UNRESOLVED
+        assert outcome.verdict.doc_unparseable
 
     def test_threshold_is_configurable(self):
         doc = doc_with("deploy app config", _replace_line(SHOWN, 2, "  dest: /etc/app-v2.conf"))
         outcome = classify(SHOWN, doc, config=Config(minor_major_threshold=0.1))
-        assert outcome.category is Category.MAJOR_EDIT
+        assert outcome.verdict.category is Category.MAJOR_EDIT
 
     def test_fqcn_shortening_alone(self):
         # same short module name: not module_changed, but the body did change
         doc = doc_with("deploy app config", _replace_line(SHOWN, 0, "copy:"))
         outcome = classify(SHOWN, doc)
-        assert outcome.edit_fraction > 0
-        assert not outcome.module_changed
-        assert outcome.module_edit_tags == {ModuleEditTag.FQCN_SHORTENED}
+        assert outcome.verdict.edit_fraction > 0
+        assert not outcome.verdict.module_changed
+        assert outcome.verdict.module_edit_tags == {ModuleEditTag.FQCN_SHORTENED}
 
     def test_module_changed_minor(self):
         doc = doc_with(
             "deploy app config", _replace_line(SHOWN, 0, "ansible.builtin.template:")
         )
         outcome = classify(SHOWN, doc)
-        assert outcome.category is Category.MINOR_EDIT
-        assert outcome.module_changed
-        assert outcome.minor_subcategory is None
-        assert outcome.module_edit_tags == {ModuleEditTag.OTHER}
+        assert outcome.verdict.category is Category.MINOR_EDIT
+        assert outcome.verdict.module_changed
+        assert outcome.verdict.minor_subcategory is None
+        assert outcome.verdict.module_edit_tags == {ModuleEditTag.OTHER}
 
     def test_middle_task_of_a_play_fully_accepted(self):
         body = "ansible.builtin.debug:\n  msg: hello"
@@ -353,8 +381,8 @@ class TestClassifyOutcome:
             "    - name: last\n      ansible.builtin.ping:\n"
         )
         outcome = classify(body, doc)
-        assert outcome.category is Category.FULLY_ACCEPTED
-        assert outcome.edit_fraction == 0.0
+        assert outcome.verdict.category is Category.FULLY_ACCEPTED
+        assert outcome.verdict.edit_fraction == 0.0
 
     def test_last_task_before_handlers_fully_accepted(self):
         doc = (
@@ -365,15 +393,15 @@ class TestClassifyOutcome:
             "        name: app\n"
         )
         outcome = classify(SHOWN, doc)
-        assert outcome.category is Category.FULLY_ACCEPTED
-        assert outcome.committed_task.body_lines == SHOWN.splitlines()
+        assert outcome.verdict.category is Category.FULLY_ACCEPTED
+        assert outcome.verdict.committed_task.body_lines == SHOWN.splitlines()
 
     @pytest.mark.parametrize("body", ["src: &a [*a]", "src: !!python/name:os.system"])
     def test_unconstructable_document_is_unresolved(self, body):
         doc = doc_with("deploy app config", "ansible.builtin.copy:\n  " + body)
         outcome = classify(SHOWN, doc)
-        assert outcome.category is Category.UNRESOLVED
-        assert outcome.doc_unparseable
+        assert outcome.verdict.category is Category.UNRESOLVED
+        assert outcome.verdict.doc_unparseable
 
     @pytest.mark.parametrize("name", ["deploy app config", "renamed"])
     def test_pair_past_the_matching_budget_is_unresolved(self, monkeypatch, name):
@@ -381,9 +409,9 @@ class TestClassifyOutcome:
         monkeypatch.setattr(gestalt, "MAX_MATCH_WORK", 10)
         doc = doc_with(name, _replace_line(SHOWN, 2, "  dest: /etc/app-v2.conf"))
         outcome = classify(SHOWN, doc)
-        assert outcome.category is Category.UNRESOLVED
-        assert outcome.edit_fraction is None
-        assert not outcome.doc_unparseable
+        assert outcome.verdict.category is Category.UNRESOLVED
+        assert outcome.verdict.edit_fraction is None
+        assert not outcome.verdict.doc_unparseable
 
 
 def options_task(module, options):
@@ -550,7 +578,7 @@ class TestAnalyzeTimeline:
 
     def test_categories_partition_accepted(self):
         analysis = analyze_timeline(self._mixed_timeline(), new_cache())
-        categories = [o.category for o in analysis.outcomes]
+        categories = [o.verdict.category for o in analysis.outcomes]
         assert categories.count(Category.FULLY_ACCEPTED) == 1
         assert categories.count(Category.MINOR_EDIT) == 1
         assert categories.count(Category.REJECTED) == 1
@@ -559,9 +587,12 @@ class TestAnalyzeTimeline:
         timeline = self._mixed_timeline()
         first = analyze_timeline(timeline, new_cache())
         second = analyze_timeline(timeline, new_cache())
-        assert [
-            (o.suggestion_id, o.category, o.edit_fraction) for o in first.outcomes
-        ] == [(o.suggestion_id, o.category, o.edit_fraction) for o in second.outcomes]
+
+        def rows(analysis):
+            return [(o.suggestion_id, o.verdict.category, o.verdict.edit_fraction)
+                    for o in analysis.outcomes]
+
+        assert rows(first) == rows(second)
 
 
 LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
@@ -667,6 +698,23 @@ class TestVerdictTable:
         assert report.acceptance.unresolved == 5
         assert len(calls) == 5
 
+    def test_outcomes_of_one_pair_share_one_verdict(self):
+        lines, config = criterion_logs()["table"]
+        cache = new_cache(config)
+        outcomes = [
+            outcome
+            for timeline in build_timelines(deduplicate(map(parse_event_line, lines)))
+            for outcome in analyze_timeline(timeline, cache).outcomes
+        ]
+        verdicts = {}
+        for outcome in outcomes:
+            pair = (outcome.decision, id(outcome.shown_task), outcome.committed_doc)
+            assert verdicts.setdefault(pair, outcome.verdict) is outcome.verdict
+        # 100 outcomes hold 8 verdicts: the five matched pairs', and one each
+        # for rejected, ignored and unresolved.
+        assert len(outcomes) == 100
+        assert len({id(outcome.verdict) for outcome in outcomes}) == 8
+
     def test_cache_from_each_config_gives_its_verdicts(self):
         """Minor under the default threshold, major under a lower one: a cache
         built from a config classifies under it, and its table, filled or
@@ -687,10 +735,13 @@ class TestVerdictTable:
             assert cache.config is config
             (paired,) = pair_outcomes(timeline, cache).outcomes
             for _ in range(2):  # the second verdict comes from the table
-                copy = SuggestionOutcome(*(getattr(paired, s) for s in SuggestionOutcome.__slots__))
+                copy = SuggestionOutcome(
+                    paired.suggestion_id, paired.user_id, paired.shown_task, paired.decision,
+                    paired.suggestion_lines, paired.suggestion_tokens, paired.committed_doc,
+                )
                 outcome = classify_outcome(copy, cache)
-                assert outcome.category is expected
-                assert outcome.edit_fraction == pytest.approx(1 / 6)
+                assert outcome.verdict.category is expected
+                assert outcome.verdict.edit_fraction == pytest.approx(1 / 6)
                 fresh_cache = new_cache(config)
                 (fresh,) = pair_outcomes(timeline, fresh_cache).outcomes
                 assert outcome == classify_outcome(fresh, fresh_cache)

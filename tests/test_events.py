@@ -371,7 +371,7 @@ class TestDeduplicate:
         kept = deduplicate(events)
         assert [e.event_id for e in kept] == ["e0", "e1", "e2"]
 
-    def test_exact_ties_keep_input_order(self):
+    def test_exact_ties_ordered_by_kind_then_content(self):
         events = make_events(
             [
                 ("e1", "u1", "2023-06-01T10:00:00+00:00", "b"),
@@ -379,8 +379,15 @@ class TestDeduplicate:
                 ("e1", "u1", "2023-06-01T10:00:00+00:00", "a"),
             ]
         )
-        kept = deduplicate(events)
-        assert [e.document_text for e in kept] == ["b", "a", "x"]
+        action = parse_event_line(json.dumps({
+            "event_id": "e1", "user_id": "u1", "ts": "2023-06-01T10:00:00+00:00",
+            "type": "action", "suggestion_id": "s1", "action": "rejected",
+        }))
+        for tied in (events, events[::-1]):
+            assert [e.document_text for e in deduplicate(tied)] == ["a", "b", "x"]
+        for tied in ([*events, action], [action, *events[::-1]]):
+            # The action's kind sorts before the content's.
+            assert deduplicate(tied) == [action, events[2], events[0], events[1]]
 
     def test_equal_content_keys_of_two_kinds_both_kept(self):
         # Same user, time, suggestion id and text "accepted"; only the kind differs.
@@ -447,15 +454,11 @@ class TestDeduplicate:
     @classmethod
     def _oracle(cls, events, window_seconds=10.0):
         """deduplicate's docstring, brute force: visit in (user, instant,
-        event_id, input) order and keep an event unless a kept event with the
-        same user, class and added field values lies at most the window before it."""
-        order = sorted(
-            range(len(events)),
-            key=lambda i: (events[i].user_id, events[i].instant, events[i].event_id, i),
-        )
+        event_id, class name, field values) order and keep an event unless a
+        kept event with the same user, class and added field values lies at
+        most the window before it."""
         kept = []
-        for i in order:
-            event = events[i]
+        for event in sorted(events, key=lambda e: (e.user_id, e.instant, e.event_id, repr(e))):
             if not any(
                 k.user_id == event.user_id
                 and type(k) is type(event)
@@ -466,11 +469,27 @@ class TestDeduplicate:
                 kept.append(event)
         return kept
 
+    def _random_tied_soup(self, seed):
+        """The mixed soup with three event ids, so that many events tie on
+        (user, instant, event_id)."""
+        events = self._random_mixed_soup(seed)
+        for i, event in enumerate(events):
+            event.event_id = f"e{i % 3}"
+        return events
+
     @pytest.mark.parametrize("window", [0.0, 0.5, 10.0, 60.0])
     def test_matches_brute_force_oracle(self, window):
         for seed in range(5):
-            for events in (self._random_soup(seed), self._random_mixed_soup(seed)):
+            for events in (self._random_soup(seed), self._random_mixed_soup(seed),
+                           self._random_tied_soup(seed)):
                 assert deduplicate(events, window) == self._oracle(events, window)
+
+    def test_output_does_not_depend_on_input_order(self):
+        for seed in range(5):
+            events = self._random_tied_soup(seed)
+            shuffled = list(events)
+            random.Random(seed).shuffle(shuffled)
+            assert deduplicate(shuffled) == deduplicate(events)
 
     def test_no_two_kinds_have_equal_content(self):
         """Why deduplicate may key on the content alone: across all five

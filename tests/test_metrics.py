@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tasklens.config import Config
-from tasklens.edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome
+from tasklens.edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome, Verdict
 from tasklens.events import UserAction, build_timelines, parse_event_line
 from tasklens.metrics import (
     WEEKDAY_NAMES,
@@ -22,7 +22,7 @@ from tasklens.metrics import (
 from tasklens.report import report_to_dict, run_pipeline
 from tasklens.synth import EditMix, edit_analysis_lines, write_log
 
-def outcome(category, module_changed=False, lines=6, tokens=20):
+def outcome(category, module_changed=False, lines=6, tokens=20, **verdict):
     decision = {
         Category.REJECTED: UserAction.REJECTED,
         Category.IGNORED: UserAction.IGNORED,
@@ -34,8 +34,7 @@ def outcome(category, module_changed=False, lines=6, tokens=20):
         decision=decision,
         suggestion_lines=lines,
         suggestion_tokens=tokens,
-        category=category,
-        module_changed=module_changed,
+        verdict=Verdict(category, module_changed=module_changed, **verdict),
     )
 
 
@@ -108,22 +107,22 @@ class TestAcceptanceFold:
     def _oracle(cls, outcomes):
         """Every AcceptanceSummary field, each counted in its own pass."""
         total = len(outcomes)
-        accepted = [o for o in outcomes if o.category in cls.ACCEPTED]
-        counts = {c: sum(1 for o in accepted if o.category is c) for c in cls.ACCEPTED}
-        minors = [o for o in outcomes if o.category is Category.MINOR_EDIT]
+        accepted = [o for o in outcomes if o.verdict.category in cls.ACCEPTED]
+        counts = {c: sum(1 for o in accepted if o.verdict.category is c) for c in cls.ACCEPTED}
+        minors = [o for o in outcomes if o.verdict.category is Category.MINOR_EDIT]
         minor_breakdown = dict.fromkeys(cls.MINOR_KEYS, 0)
         for o in minors:
-            if o.module_changed:
+            if o.verdict.module_changed:
                 minor_breakdown["module_changed"] += 1
-            elif o.minor_subcategory is None:
+            elif o.verdict.minor_subcategory is None:
                 minor_breakdown["unclassified"] += 1
             else:
-                minor_breakdown[o.minor_subcategory.value] += 1
+                minor_breakdown[o.verdict.minor_subcategory.value] += 1
         tags = {tag.value: 0 for tag in ModuleEditTag}
         for o in outcomes:
-            for tag in o.module_edit_tags:
+            for tag in o.verdict.module_edit_tags:
                 tags[tag.value] += 1
-        module_changed_minor = sum(1 for o in minors if o.module_changed)
+        module_changed_minor = sum(1 for o in minors if o.verdict.module_changed)
         strong = (len(accepted) - counts[Category.DELETED_AFTER_ACCEPT]
                   - counts[Category.MAJOR_EDIT] - module_changed_minor)
         return {
@@ -142,23 +141,22 @@ class TestAcceptanceFold:
             "initial_rate": len(accepted) / total if total else 0.0,
             "strong_rate": strong / total if total else 0.0,
             "minor_breakdown": minor_breakdown,
-            "module_edited": sum(1 for o in outcomes if o.module_edit_tags),
+            "module_edited": sum(1 for o in outcomes if o.verdict.module_edit_tags),
             "module_edit_tags": tags,
-            "unparseable_documents": sum(1 for o in outcomes if o.doc_unparseable),
+            "unparseable_documents": sum(1 for o in outcomes if o.verdict.doc_unparseable),
         }
 
     @staticmethod
     def _random_outcome(rng):
-        result = outcome(
+        return outcome(
             rng.choice(list(Category)),
             module_changed=rng.random() < 0.3,
             lines=rng.randrange(40),
             tokens=rng.randrange(200),
+            minor_subcategory=rng.choice([None, *MinorSubcategory]),
+            module_edit_tags=frozenset(t for t in ModuleEditTag if rng.random() < 0.3),
+            doc_unparseable=rng.random() < 0.2,
         )
-        result.minor_subcategory = rng.choice([None, *MinorSubcategory])
-        result.module_edit_tags = frozenset(t for t in ModuleEditTag if rng.random() < 0.3)
-        result.doc_unparseable = rng.random() < 0.2
-        return result
 
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,14 @@ import yaml
 
 from tasklens import taskparse
 from tasklens.cli import main
-from tasklens.config import Config
+from tasklens.config import Config, load_config
+from tasklens.edits import Category, TaskCache, analyze_timeline
+from tasklens.metrics import returning_user_cohort
 from tasklens.report import (
     REPORT_FORMATS,
     UnknownFormat,
     ZeroEvents,
+    ingest_window,
     render_report,
     report_to_dict,
     run_pipeline,
@@ -119,6 +123,91 @@ class TestRunPipeline:
         assert small_report.feedback.star_histogram == stars
 
 
+class TestRecountFromVerdicts:
+    """Each outcome's verdict is the row behind the report's outcome numbers:
+    counting the verdicts of the returning cohort gives every count in the
+    acceptance, accepted_breakdown, minor_edit_breakdown and module_edits
+    sections."""
+
+    @staticmethod
+    def _recount(outcomes) -> dict:
+        verdicts = [o.verdict for o in outcomes]
+        categories = Counter(v.category.value for v in verdicts)
+        minors = [v for v in verdicts if v.category is Category.MINOR_EDIT]
+        minor = Counter(
+            "module_changed" if v.module_changed
+            else v.minor_subcategory.value if v.minor_subcategory else "unclassified"
+            for v in minors
+        )
+        total = len(verdicts)
+        accepted = total - categories["rejected"] - categories["ignored"]
+        strong = (categories["fully_accepted"] + categories["minor_edit"]
+                  - minor["module_changed"] + categories["unresolved"])
+        slices = {
+            "fully_accepted": categories["fully_accepted"],
+            "minor_edits": categories["minor_edit"] - minor["module_changed"],
+            "major_edits": categories["major_edit"],
+            "deleted_after_accept": categories["deleted_after_accept"],
+            "module_changed_minor": minor["module_changed"],
+            "unresolved": categories["unresolved"],
+        }
+        return {
+            "acceptance": {
+                "total_suggestions": total,
+                "initially_accepted": accepted,
+                **slices,
+                # Here minor_edits counts the module-changed minors too.
+                "minor_edits": categories["minor_edit"],
+                "avg_lines_per_suggestion": round(
+                    sum(o.suggestion_lines for o in outcomes) / total, 2),
+                "avg_tokens_per_suggestion": round(
+                    sum(o.suggestion_tokens for o in outcomes) / total, 2),
+                "initial_rate": round(100.0 * accepted / total, 2),
+                "strong_rate": round(100.0 * strong / total, 2),
+            },
+            "accepted_breakdown": Counter(slices),
+            "minor_edit_breakdown": minor,
+            "module_edits": {
+                "outcomes": sum(1 for v in verdicts if v.module_edit_tags),
+                "tags": Counter(tag.value for v in verdicts for tag in v.module_edit_tags),
+            },
+        }
+
+    @staticmethod
+    def _reported(doc: dict) -> dict:
+        def counts(shares):
+            return Counter({key: share["count"] for key, share in shares.items()})
+
+        return {
+            "acceptance": doc["acceptance"],
+            "accepted_breakdown": counts(doc["accepted_breakdown"]),
+            "minor_edit_breakdown": counts(doc["minor_edit_breakdown"]),
+            "module_edits": {"outcomes": doc["module_edits"]["outcomes"],
+                             "tags": counts(doc["module_edits"]["tags"])},
+        }
+
+    @pytest.mark.parametrize("name", ["small", "module_tags"])
+    def test_counts_equal_the_report(self, name, tmp_path):
+        if name == "small":
+            log, config = write_log(tmp_path / "small.jsonl", small_log_lines()), Config()
+        else:
+            log = write_log(tmp_path / "tags.jsonl", module_tag_lines())
+            (tmp_path / "tags.yaml").write_text(MODULE_TAG_CONFIG_YAML)
+            config = load_config(tmp_path / "tags.yaml")
+        timelines = ingest_window([log], config)[3]
+        returning = returning_user_cohort(timelines)
+        cache = TaskCache(config)
+        outcomes = [
+            outcome for timeline in timelines if timeline.user_id in returning
+            for outcome in analyze_timeline(timeline, cache).outcomes
+        ]
+        recounted = self._recount(outcomes)
+        assert recounted == self._reported(report_to_dict(run_pipeline([log], config)))
+        assert recounted["minor_edit_breakdown"]
+        if name == "module_tags":
+            assert recounted["module_edits"]["outcomes"]
+
+
 def test_report_does_not_depend_on_libyaml(small_log, small_report, monkeypatch):
     monkeypatch.setattr(taskparse, "_Loader", yaml.SafeLoader)
     pure = run_pipeline([small_log], Config())
@@ -170,10 +259,6 @@ class TestDeterminism:
 
     def test_report_does_not_depend_on_line_order_or_layout(self, tmp_path, capsys):
         lines = small_log_lines()
-        # Lines that share user_id, ts and event_id keep their input order by
-        # contract, so the log must hold no such tie.
-        ties = {(e["user_id"], e["ts"], e["event_id"]) for e in map(json.loads, lines)}
-        assert len(ties) == len(lines)
 
         def report(name: str, *files: str, newline: str = "\n") -> str:
             paths = []
@@ -197,6 +282,21 @@ class TestDeterminism:
                       log(lines[2 * third:])) == expected
         assert report("blank", "\n\n".join(lines) + "\n \n") == expected
         assert report("crlf", log(lines), newline="\r\n") == expected
+
+    def test_tied_lines_do_not_depend_on_the_file_order(self, tmp_path, capsys):
+        """An accepted and a rejected action that share user_id, ts and
+        event_id, one in each file: ties are ordered by kind, then by
+        content, so either file order gives the same bytes."""
+        lines = small_log_lines()
+        accepted = next(line for line in lines if '"action":"accepted"' in line)
+        a = write_log(tmp_path / "a.jsonl", lines)
+        b = write_log(tmp_path / "b.jsonl", [accepted.replace('"accepted"', '"rejected"')])
+        reports = []
+        for order in ((a, b), (b, a)):
+            assert main(["report", "--format", "json", "--events", *map(str, order)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["acceptance"]["initially_accepted"] == SMALL_MIX.accepted
 
     def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
         """Enum members hash by identity, and each run's member addresses and
