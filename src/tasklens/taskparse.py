@@ -721,8 +721,9 @@ def _as_built(value: Any) -> Any:
 
 def name_value(text: str) -> str:
     """The name that a task's ``name: <text>`` line gives it, or ``text``
-    itself when ``text`` does not parse.  A row in the block reader's shape
-    is read without the YAML loader, any other by ``composed``."""
+    itself when that line does not parse or holds more than the name.  A row
+    in the block reader's shape is read without the YAML loader, any other
+    line by ``composed``."""
     row = _BLOCK_ROW.fullmatch("name: " + text)
     if row and row[4] and (text.isascii() or not re.search(_WIDE_UNREADABLE, text)):
         try:
@@ -730,10 +731,11 @@ def name_value(text: str) -> str:
         except _Refused:
             pass
     try:
-        with composed(text) as (root, build):
-            return _name(None if root is None else build(root))
+        with composed("name: " + text) as (root, build):
+            line = build(root)
     except TaskParseError:
         return text
+    return _name(line["name"]) if len(line) == 1 else text
 
 
 def _name(value: Any) -> str:

@@ -116,10 +116,13 @@ def reader_edges_log() -> str:
     return "\n".join(lines) + "\n"
 
 
-# Prompts that quote the task's name or add a comment: the shown task takes the
-# name that the committed task's own name line gives it.
+# Prompts that quote the task's name, add a comment or hold ": " in it, each with
+# its committed task's name line: the shown task takes the name that line gives.
 NAMED_PROMPTS = [
-    '- name: "Install nginx"', "- name: 'Install nginx'", "- name: Install nginx  # pkg",
+    ('- name: "Install nginx"', "Install nginx"),
+    ("- name: 'Install nginx'", "Install nginx"),
+    ("- name: Install nginx  # pkg", "Install nginx"),
+    ("- name: Step 1: install nginx", '"Step 1: install nginx"'),
 ]
 
 
@@ -131,7 +134,7 @@ def named_prompts_log() -> str:
     # A minute apart, so that no snapshot is a retry of the one before.
     stamp = iter(f"2023-06-01T08:{i:02d}:00+00:00" for i in range(60))
     text = "apt:\n  name: nginx\n"
-    for i, prompt in enumerate(NAMED_PROMPTS):
+    for i, (prompt, name) in enumerate(NAMED_PROMPTS):
         for kind, fields in (
             ("completion", {"prompt": prompt, "context": ""}),
             ("suggestion", {"text": text, "lines": 2, "tokens": 5}),
@@ -139,7 +142,7 @@ def named_prompts_log() -> str:
         ):
             lines.append(_event(len(lines), next(stamp), kind, suggestion_id=f"s{i}", **fields))
         lines.append(_event(len(lines), next(stamp), "content",
-                            document="- name: Install nginx\n  shell: apt-get install nginx\n"))
+                            document=f"- name: {name}\n  shell: apt-get install nginx\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -340,7 +343,7 @@ def write_cases(directory: Path) -> dict[str, Case]:
         ),
         "named_prompts": Case(
             events("named_prompts"), 0, {"unresolved_outcomes": 0},
-            acceptance={"total_suggestions": 3, "major_edits": 3, "deleted_after_accept": 0},
+            acceptance={"total_suggestions": 4, "major_edits": 4, "deleted_after_accept": 0},
         ),
         "tied_actions": Case(
             events("tied_actions"), 0, {"duplicates_removed": 0},

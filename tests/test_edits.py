@@ -193,7 +193,10 @@ class TestNameFromPrompt:
             ("- name: Install nginx  # pkg", "Install nginx"),
             ("- name: yes", "True"),
             ("- name: 2024", "2024"),
-            ('- name: "unclosed', '"unclosed'),  # not YAML: the text as written
+            # A name line that is not YAML keeps the text as written.
+            ('- name: "unclosed', '"unclosed'),
+            ("- name: Step 1: install nginx", "Step 1: install nginx"),
+            ("- name: a: b", "a: b"),
         ],
     )
     def test_extraction(self, prompt, expected):
@@ -207,13 +210,18 @@ class TestNameFromPrompt:
     @example('2024')
     @example('~')
     @example('x # c')
+    @example('Step 1: install nginx')
     def test_reads_what_a_parsed_task_reads(self, value):
+        # The prompt's value is read stripped, as the task's name line here.
+        value = value.strip()
+        prompt = f"- name: {value}"
         try:
-            tasks = parse(f"- name: {value}\n  debug:\n    msg: hi\n")
+            tasks = parse(f"{prompt}\n  debug:\n    msg: hi\n")
         except TaskParseError:
+            assert name_from_prompt(prompt) == (value or None)
             return
-        if len(tasks) == 1 and value.strip():
-            assert name_from_prompt(f"- name: {value}") == (tasks[0].name or None)
+        if len(tasks) == 1:
+            assert name_from_prompt(prompt) == (tasks[0].name or None)
 
     def test_plain_prompt_takes_no_yaml_loader(self, monkeypatch):
         monkeypatch.setattr(taskparse, "composed", None)
