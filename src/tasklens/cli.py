@@ -120,6 +120,9 @@ def _cmd_report(args, parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start, end = args.window_start, args.window_end
+    if start is not None and end is not None and start > end:
+        parser.error(f"--window-start {start} is after --window-end {end}")
     try:
         if args.command == "ingest":
             return _cmd_ingest(args)

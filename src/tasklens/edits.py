@@ -21,7 +21,7 @@ from .gestalt import MatchBudgetExceeded
 from .gestalt import edit_fraction as gestalt_edit_fraction
 from .gestalt import similarity_ratio
 from .taskparse import (
-    AnsibleTask, TaskMemo, TaskParseError, name_value, parse_tasks, short_name
+    AnsibleTask, TaskMemo, TaskParseError, name_from_prompt, parse_tasks, short_name
 )
 
 # Directive keys whose addition counts as YAML reorganization.
@@ -85,36 +85,26 @@ _DELETED = Verdict(Category.DELETED_AFTER_ACCEPT)
 
 
 class SuggestionOutcome:
-    """One suggestion, its decision, and the verdict on its committed form.
+    """One suggestion event, its shown task and decision, the snapshot event
+    that followed its accept (None when none did), and the verdict on its
+    committed form.  It copies no field of an event.
 
     Built by pair_outcomes without a verdict; classify_outcome sets it in place.
     """
 
-    __slots__ = (
-        "suggestion_id", "user_id", "shown_task", "decision", "suggestion_lines",
-        "suggestion_tokens", "committed_doc", "verdict",
-    )
+    __slots__ = ("suggestion", "shown_task", "decision", "snapshot", "verdict")
 
-    suggestion_id: str
-    user_id: str
+    suggestion: SuggestionEvent
     shown_task: AnsibleTask
     decision: UserAction
-    suggestion_lines: int
-    suggestion_tokens: int
-    committed_doc: str | None
+    snapshot: ContentEvent | None
     verdict: Verdict | None
 
-    def __init__(
-        self, suggestion_id, user_id, shown_task, decision, suggestion_lines, suggestion_tokens,
-        committed_doc=None, verdict=None,
-    ):
-        self.suggestion_id = suggestion_id
-        self.user_id = user_id
+    def __init__(self, suggestion, shown_task, decision, snapshot=None, verdict=None):
+        self.suggestion = suggestion
         self.shown_task = shown_task
         self.decision = decision
-        self.suggestion_lines = suggestion_lines
-        self.suggestion_tokens = suggestion_tokens
-        self.committed_doc = committed_doc
+        self.snapshot = snapshot
         self.verdict = verdict
 
     def __eq__(self, other):
@@ -194,29 +184,18 @@ class TaskCache:
         return verdict
 
 
-def name_from_prompt(prompt: str) -> str | None:
-    """The task name of a prompt line like ``- name: Install nginx``, read as
-    the committed task's name line is read (quotes and a comment dropped)."""
-    stripped = prompt.strip()
-    if stripped.startswith("-"):
-        stripped = stripped[1:].lstrip()
-    if stripped.startswith("name:"):
-        stripped = stripped[len("name:"):].strip()
-    return (name_value(stripped) or None) if stripped else None
-
-
 def pair_outcomes(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
     """Pre-classification pairing of suggestions with actions and content.
 
     The first action on a suggestion id decides it; an accepted one takes the
-    document of the next snapshot after that action.  Suggestions with no
-    action are Ignored; actions whose suggestion id never appears are counted
-    as orphans.  Suggestion texts that do not parse as exactly one task are
+    next snapshot event after that action.  Suggestions with no action are
+    Ignored; actions whose suggestion id never appears are counted as
+    orphans.  Suggestion texts that do not parse as exactly one task are
     dropped and counted.
     """
     prompts: dict[str, str] = {}
     actions: dict[str, UserAction] = {}
-    committed: dict[str, str] = {}  # accepted sid -> the next snapshot's document
+    snapshots: dict[str, ContentEvent] = {}  # accepted sid -> the next snapshot
     waiting: list[str] = []  # accepted sids with no snapshot yet
     suggestions: list[SuggestionEvent] = []
 
@@ -233,7 +212,7 @@ def pair_outcomes(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
                     waiting.append(event.suggestion_id)
         elif cls is ContentEvent and waiting:
             for sid in waiting:
-                committed[sid] = event.document_text
+                snapshots[sid] = event
             waiting.clear()
 
     suggestion_ids = {event.suggestion_id for event in suggestions}
@@ -247,8 +226,7 @@ def pair_outcomes(timeline: UserTimeline, cache: TaskCache) -> PairingResult:
             unparseable += 1
             continue
         outcomes.append(SuggestionOutcome(
-            sid, timeline.user_id, shown, actions.get(sid, UserAction.IGNORED),
-            event.line_count, event.token_count, committed.get(sid),
+            event, shown, actions.get(sid, UserAction.IGNORED), snapshots.get(sid)
         ))
     return PairingResult(outcomes, orphan_actions, unparseable)
 
@@ -294,10 +272,10 @@ def classify_outcome(outcome: SuggestionOutcome, cache: TaskCache) -> Suggestion
         outcome.verdict = _REJECTED
     elif outcome.decision is UserAction.IGNORED:
         outcome.verdict = _IGNORED
-    elif outcome.committed_doc is None:
+    elif outcome.snapshot is None:
         outcome.verdict = _UNRESOLVED
     else:
-        outcome.verdict = cache.verdict(outcome.shown_task, outcome.committed_doc)
+        outcome.verdict = cache.verdict(outcome.shown_task, outcome.snapshot.document_text)
     return outcome
 
 

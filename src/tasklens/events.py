@@ -546,7 +546,10 @@ class IngestResult(NamedTuple):
 def read_events(paths: Iterable[str | Path]) -> IngestResult:
     """Read JSONL logs; malformed lines are skipped and counted, never fatal.
 
-    A line that is not valid UTF-8 counts as malformed (see parse_event_line).
+    A line of JSON whitespace (space, tab, CR, LF) alone is blank and skipped
+    uncounted; one of other whitespace, such as a form feed or U+00A0, is no
+    JSON and counts as malformed, as does a line that is not valid UTF-8 (see
+    parse_event_line).
     Equal field strings are one object among the events of one call.
     """
     events: list[RawEvent] = []
@@ -556,7 +559,7 @@ def read_events(paths: Iterable[str | Path]) -> IngestResult:
         # A line ends at "\n" alone: JSON allows a raw "\r" between tokens.
         with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
             for line in handle:
-                if line.isspace():
+                if line.isspace() and not line.strip(" \t\r\n"):
                     continue
                 try:
                     events.append(parse_event_line(line, shared))

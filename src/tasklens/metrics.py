@@ -52,8 +52,8 @@ def acceptance_summary(outcomes: Iterable[SuggestionOutcome]) -> AcceptanceSumma
     tags = {tag.value: 0 for tag in ModuleEditTag}
     for outcome in outcomes:
         total += 1
-        lines += outcome.suggestion_lines
-        tokens += outcome.suggestion_tokens
+        lines += outcome.suggestion.line_count
+        tokens += outcome.suggestion.token_count
         verdict = outcome.verdict
         categories[verdict.category] += 1
         if verdict.category is Category.MINOR_EDIT:

@@ -607,6 +607,12 @@ _BOOL_TAG = "tag:yaml.org,2002:bool"
 _NULL_TAG = "tag:yaml.org,2002:null"
 
 
+def _readable(text: str) -> bool:
+    """Whether ``text`` holds no wide character that the block rows leave in
+    but YAML does not print or reads as a line break or a BOM."""
+    return text.isascii() or not re.search(_WIDE_UNREADABLE, text)
+
+
 class _Refused(Exception):
     """A text that _read_task leaves to the YAML path."""
 
@@ -661,7 +667,7 @@ def _read_task(text: str, directives: frozenset[str]) -> AnsibleTask | None:
     list of such plain scalars.  Blank lines may fall anywhere.  A duplicate
     key and a ``tasks`` key are refused, as is a ``name`` with a block.
     """
-    if not text.isascii() and re.search(_WIDE_UNREADABLE, text):
+    if not _readable(text):
         return None
     lines = text.split("\n")
     first = _BLOCK_ROW.fullmatch(lines[0])
@@ -719,23 +725,28 @@ def _as_built(value: Any) -> Any:
     return value
 
 
-def name_value(text: str) -> str:
-    """The name that a task's ``name: <text>`` line gives it, or ``text``
-    itself when that line does not parse or holds more than the name.  A row
-    in the block reader's shape is read without the YAML loader, any other
-    line by ``composed``."""
-    row = _BLOCK_ROW.fullmatch("name: " + text)
-    if row and row[4] and (text.isascii() or not re.search(_WIDE_UNREADABLE, text)):
+def name_from_prompt(prompt: str) -> str | None:
+    """The task name of a prompt line like ``- name: Install nginx``: its value
+    as a task's ``name: <value>`` line gives it (quotes and a comment dropped),
+    or the value as written when that line does not parse or holds more than
+    the name; None when the prompt names nothing.  A row in the block reader's
+    shape is read without the YAML loader, any other line by ``composed``."""
+    value = prompt.strip().removeprefix("-").lstrip().removeprefix("name:").strip()
+    if not value:
+        return None
+    line = "name: " + value
+    row = _BLOCK_ROW.fullmatch(line)
+    if row and row[4] and _readable(value):
         try:
-            return _name(_scalar(text))
+            return _name(_scalar(value)) or None
         except _Refused:
             pass
     try:
-        with composed("name: " + text) as (root, build):
-            line = build(root)
+        with composed(line) as (root, build):
+            built = build(root)
     except TaskParseError:
-        return text
-    return _name(line["name"]) if len(line) == 1 else text
+        return value
+    return (_name(built["name"]) or None) if len(built) == 1 else value
 
 
 def _name(value: Any) -> str:

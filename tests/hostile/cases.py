@@ -32,6 +32,7 @@ NAMES = (
     "unclosed_config", "plain_formfeed_config", "last_day_event", "last_day_window",
     "millennia_window", "huge_int_line", "escaped_canonical_lines", "raw_cr_line",
     "json_path_lines", "newline_module_key", "reader_edges", "named_prompts", "tied_actions",
+    "whitespace_lines",
 )
 
 
@@ -254,6 +255,10 @@ def write_cases(directory: Path) -> dict[str, Case]:
         "reader_edges.jsonl": reader_edges_log(),
         "named_prompts.jsonl": named_prompts_log(),
         "tied_actions.jsonl": "".join(line + "\n" for line in tied),
+        # Lines of whitespace that JSON does not allow, each malformed, then
+        # one of JSON's own whitespace, which is blank.
+        "whitespace_lines.jsonl": _accepted(task, task)
+        + "".join(f"{space}\n" for space in "\x0c\x1c\x85\xa0\u3000") + " \t\r\n",
         "millennia_window.jsonl": "".join(
             _event(i, stamp, "completion", suggestion_id=f"s{i}", prompt="- name: a", context="")
             + "\n"
@@ -349,6 +354,7 @@ def write_cases(directory: Path) -> dict[str, Case]:
             events("tied_actions"), 0, {"duplicates_removed": 0},
             acceptance={"total_suggestions": 1, "initially_accepted": 1, "fully_accepted": 1},
         ),
+        "whitespace_lines": Case(events("whitespace_lines"), 0, {"malformed_lines": 5}),
     }
 
 

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasklens import edits, gestalt, taskparse
@@ -22,10 +22,11 @@ from tasklens.edits import (
     match_committed_task,
     minor_subcategory,
     module_edit_tags,
-    name_from_prompt,
     pair_outcomes,
 )
-from tasklens.events import UserAction, build_timelines, deduplicate, parse_event_line
+from tasklens.events import (
+    RawEvent, UserAction, build_timelines, deduplicate, parse_event_line
+)
 from tasklens.gestalt import similarity_ratio
 from tasklens.report import render_report, run_pipeline
 from tasklens.synth import (
@@ -110,9 +111,23 @@ class TestPairOutcomes:
         )
         result = pair_outcomes(timeline, new_cache())
         (outcome,) = result.outcomes
+        suggestion, snapshot = timeline.events[2], timeline.events[4]
         assert outcome.decision is UserAction.ACCEPTED
-        assert outcome.committed_doc == doc
+        assert outcome.suggestion is suggestion
+        assert outcome.snapshot is snapshot and snapshot.document_text == doc
         assert outcome.shown_task.name == "deploy app config"
+
+    def test_outcome_copies_no_event_field(self):
+        """An outcome holds its suggestion and snapshot events, not copies of
+        their fields."""
+        assert SuggestionOutcome.__slots__ == (
+            "suggestion", "shown_task", "decision", "snapshot", "verdict"
+        )
+        fields = {
+            field for cls in RawEvent.__subclasses__()
+            for field in (*RawEvent.__slots__, *cls.__slots__)
+        }
+        assert not fields & set(SuggestionOutcome.__slots__)
 
     def test_reject_skips_content(self):
         timeline = timeline_from(
@@ -124,7 +139,7 @@ class TestPairOutcomes:
         )
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
         assert outcome.decision is UserAction.REJECTED
-        assert outcome.committed_doc is None
+        assert outcome.snapshot is None
         classified = classify_outcome(outcome, new_cache())
         assert classified.verdict.category is Category.REJECTED
         assert classified.verdict.edit_fraction is None
@@ -174,59 +189,7 @@ class TestPairOutcomes:
             ]
         )
         (outcome,) = pair_outcomes(timeline, new_cache()).outcomes
-        assert outcome.committed_doc == doc
-
-
-class TestNameFromPrompt:
-    @pytest.mark.parametrize(
-        "prompt,expected",
-        [
-            ("- name: Install nginx", "Install nginx"),
-            ("name: Install nginx", "Install nginx"),
-            ("Install nginx", "Install nginx"),
-            ("  - name:   spaced   ", "spaced"),
-            ("", None),
-            ("- name:", None),
-            # The value is read as the committed task's name line is read.
-            ('- name: "Install nginx"', "Install nginx"),
-            ("- name: 'Install nginx'", "Install nginx"),
-            ("- name: Install nginx  # pkg", "Install nginx"),
-            ("- name: yes", "True"),
-            ("- name: 2024", "2024"),
-            # A name line that is not YAML keeps the text as written.
-            ('- name: "unclosed', '"unclosed'),
-            ("- name: Step 1: install nginx", "Step 1: install nginx"),
-            ("- name: a: b", "a: b"),
-        ],
-    )
-    def test_extraction(self, prompt, expected):
-        assert name_from_prompt(prompt) == expected
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="ab 1'\"#:-[]{},&*!|>%@`?~\\yn.0x\t\u00e9", min_size=1, max_size=8))
-    @example('"Install nginx"')
-    @example("'it''s'")
-    @example('yes')
-    @example('2024')
-    @example('~')
-    @example('x # c')
-    @example('Step 1: install nginx')
-    def test_reads_what_a_parsed_task_reads(self, value):
-        # The prompt's value is read stripped, as the task's name line here.
-        value = value.strip()
-        prompt = f"- name: {value}"
-        try:
-            tasks = parse(f"{prompt}\n  debug:\n    msg: hi\n")
-        except TaskParseError:
-            assert name_from_prompt(prompt) == (value or None)
-            return
-        if len(tasks) == 1:
-            assert name_from_prompt(prompt) == (tasks[0].name or None)
-
-    def test_plain_prompt_takes_no_yaml_loader(self, monkeypatch):
-        monkeypatch.setattr(taskparse, "composed", None)
-        assert name_from_prompt("- name: Install nginx on web-01") == "Install nginx on web-01"
-        assert name_from_prompt("- name: 'quoted: value'") == "quoted: value"
+        assert outcome.snapshot.document_text == doc
 
 
 def match_task(lines, name=None):
@@ -597,7 +560,7 @@ class TestAnalyzeTimeline:
         second = analyze_timeline(timeline, new_cache())
 
         def rows(analysis):
-            return [(o.suggestion_id, o.verdict.category, o.verdict.edit_fraction)
+            return [(o.suggestion.suggestion_id, o.verdict.category, o.verdict.edit_fraction)
                     for o in analysis.outcomes]
 
         assert rows(first) == rows(second)
@@ -716,7 +679,9 @@ class TestVerdictTable:
         ]
         verdicts = {}
         for outcome in outcomes:
-            pair = (outcome.decision, id(outcome.shown_task), outcome.committed_doc)
+            snapshot = outcome.snapshot
+            document = None if snapshot is None else snapshot.document_text
+            pair = (outcome.decision, id(outcome.shown_task), document)
             assert verdicts.setdefault(pair, outcome.verdict) is outcome.verdict
         # 100 outcomes hold 8 verdicts: the five matched pairs', and one each
         # for rejected, ignored and unresolved.
@@ -744,8 +709,7 @@ class TestVerdictTable:
             (paired,) = pair_outcomes(timeline, cache).outcomes
             for _ in range(2):  # the second verdict comes from the table
                 copy = SuggestionOutcome(
-                    paired.suggestion_id, paired.user_id, paired.shown_task, paired.decision,
-                    paired.suggestion_lines, paired.suggestion_tokens, paired.committed_doc,
+                    paired.suggestion, paired.shown_task, paired.decision, paired.snapshot
                 )
                 outcome = classify_outcome(copy, cache)
                 assert outcome.verdict.category is expected

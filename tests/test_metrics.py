@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tasklens.config import Config
 from tasklens.edits import Category, MinorSubcategory, ModuleEditTag, SuggestionOutcome, Verdict
-from tasklens.events import UserAction, build_timelines, parse_event_line
+from tasklens.events import SuggestionEvent, UserAction, build_timelines, parse_event_line
 from tasklens.metrics import (
     WEEKDAY_NAMES,
     EmptyWindow,
@@ -28,12 +28,9 @@ def outcome(category, module_changed=False, lines=6, tokens=20, **verdict):
         Category.IGNORED: UserAction.IGNORED,
     }.get(category, UserAction.ACCEPTED)
     return SuggestionOutcome(
-        suggestion_id="s",
-        user_id="u",
+        suggestion=SuggestionEvent("e", "u", 0.0, date(2023, 6, 1), "s", "", lines, tokens),
         shown_task=None,
         decision=decision,
-        suggestion_lines=lines,
-        suggestion_tokens=tokens,
         verdict=Verdict(category, module_changed=module_changed, **verdict),
     )
 
@@ -135,9 +132,9 @@ class TestAcceptanceFold:
             "module_changed_minor": module_changed_minor,
             "unresolved": counts[Category.UNRESOLVED],
             "avg_lines_per_suggestion":
-                sum(o.suggestion_lines for o in outcomes) / total if total else 0.0,
+                sum(o.suggestion.line_count for o in outcomes) / total if total else 0.0,
             "avg_tokens_per_suggestion":
-                sum(o.suggestion_tokens for o in outcomes) / total if total else 0.0,
+                sum(o.suggestion.token_count for o in outcomes) / total if total else 0.0,
             "initial_rate": len(accepted) / total if total else 0.0,
             "strong_rate": strong / total if total else 0.0,
             "minor_breakdown": minor_breakdown,

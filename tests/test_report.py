@@ -159,9 +159,9 @@ class TestRecountFromVerdicts:
                 # Here minor_edits counts the module-changed minors too.
                 "minor_edits": categories["minor_edit"],
                 "avg_lines_per_suggestion": round(
-                    sum(o.suggestion_lines for o in outcomes) / total, 2),
+                    sum(o.suggestion.line_count for o in outcomes) / total, 2),
                 "avg_tokens_per_suggestion": round(
-                    sum(o.suggestion_tokens for o in outcomes) / total, 2),
+                    sum(o.suggestion.token_count for o in outcomes) / total, 2),
                 "initial_rate": round(100.0 * accepted / total, 2),
                 "strong_rate": round(100.0 * strong / total, 2),
             },
@@ -420,6 +420,16 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["report", "--events", "/nonexistent.jsonl", "--format", "csv"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["ingest", "analyze", "report"])
+    def test_inverted_window_is_usage_error_before_any_log_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--events", "/nonexistent.jsonl",
+                  "--window-start", "2023-06-10", "--window-end", "2023-06-01"])
+        assert err.value.code == 1
+        assert "--window-start 2023-06-10 is after --window-end 2023-06-01" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
     @pytest.mark.parametrize("day", [

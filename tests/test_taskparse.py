@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hostile.cases import alias_chain
@@ -20,6 +20,7 @@ from tasklens.taskparse import (
     YamlSyntax,
     canonical,
     composed,
+    name_from_prompt,
     parse_module_name,
     parse_tasks,
     short_name,
@@ -221,6 +222,58 @@ class TestTaskParts:
         assert canonical(value) == (
             ("3", "c"), ("B", 0.5), ("a", (("True", "t"),)), ("b", (1, (("y", None), ("z", 2)))),
         )
+
+
+class TestNameFromPrompt:
+    @pytest.mark.parametrize(
+        "prompt,expected",
+        [
+            ("- name: Install nginx", "Install nginx"),
+            ("name: Install nginx", "Install nginx"),
+            ("Install nginx", "Install nginx"),
+            ("  - name:   spaced   ", "spaced"),
+            ("", None),
+            ("- name:", None),
+            # The value is read as the committed task's name line is read.
+            ('- name: "Install nginx"', "Install nginx"),
+            ("- name: 'Install nginx'", "Install nginx"),
+            ("- name: Install nginx  # pkg", "Install nginx"),
+            ("- name: yes", "True"),
+            ("- name: 2024", "2024"),
+            # A name line that is not YAML keeps the text as written.
+            ('- name: "unclosed', '"unclosed'),
+            ("- name: Step 1: install nginx", "Step 1: install nginx"),
+            ("- name: a: b", "a: b"),
+        ],
+    )
+    def test_extraction(self, prompt, expected):
+        assert name_from_prompt(prompt) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab 1'\"#:-[]{},&*!|>%@`?~\\yn.0x\t\u00e9", min_size=1, max_size=8))
+    @example('"Install nginx"')
+    @example("'it''s'")
+    @example('yes')
+    @example('2024')
+    @example('~')
+    @example('x # c')
+    @example('Step 1: install nginx')
+    def test_reads_what_a_parsed_task_reads(self, value):
+        # The prompt's value is read stripped, as the task's name line here.
+        value = value.strip()
+        prompt = f"- name: {value}"
+        try:
+            tasks = parse(f"{prompt}\n  debug:\n    msg: hi\n")
+        except TaskParseError:
+            assert name_from_prompt(prompt) == (value or None)
+            return
+        if len(tasks) == 1:
+            assert name_from_prompt(prompt) == (tasks[0].name or None)
+
+    def test_plain_prompt_takes_no_yaml_loader(self, monkeypatch):
+        monkeypatch.setattr(taskparse, "composed", None)
+        assert name_from_prompt("- name: Install nginx on web-01") == "Install nginx on web-01"
+        assert name_from_prompt("- name: 'quoted: value'") == "quoted: value"
 
 
 class TestSerialization:
